@@ -2,10 +2,11 @@
 // KG, PKG, D-C, W-C, and SG on ZF streams with z in {1.4, 1.7, 2.0}
 // (n = 80 workers, 48 sources, |K| = 1e4, m = 2e6 at paper scale).
 //
-// The cluster model is the queueing network described in
-// slb/sim/dspe_simulator.h (the Apache Storm stand-in; see DESIGN.md). Each
-// sweep cell is one RunDspeSimulation; the throughput_per_s / makespan_s /
-// completed payload columns carry the figure.
+// The cluster model is ExecuteTopology's queueing network (the Apache Storm
+// stand-in; see docs/ARCHITECTURE.md, "Cluster model"). Each sweep cell is
+// one spout -> worker topology run (bench/common/dspe_cell); the
+// throughput_per_s / makespan_s / completed payload columns carry the
+// figure.
 //
 // Expected shape: KG lowest and degrading with skew; PKG in between, also
 // degrading; D-C and W-C matching SG's (transport-bound) plateau. Paper

@@ -31,28 +31,6 @@
 namespace slb::bench {
 namespace {
 
-// The scenario stream split round-robin among spout tasks (spout s emits
-// positions s, s+S, ...), same sender interleave as the fig13 cells.
-class HotpathSpout final : public Spout {
- public:
-  HotpathSpout(std::shared_ptr<const std::vector<uint64_t>> keys,
-               uint64_t offset, uint64_t stride)
-      : keys_(std::move(keys)), pos_(offset), stride_(stride) {}
-
-  bool NextTuple(TopologyTuple* out) override {
-    if (pos_ >= keys_->size()) return false;
-    out->key = (*keys_)[pos_];
-    out->value = 1;
-    pos_ += stride_;
-    return true;
-  }
-
- private:
-  std::shared_ptr<const std::vector<uint64_t>> keys_;
-  uint64_t pos_;
-  uint64_t stride_;
-};
-
 // Emits `fanout` children per input tuple, keys decorrelated from the parent
 // so the second edge routes a spread stream rather than replaying the first
 // edge's skew.
@@ -156,7 +134,7 @@ int Main(int argc, char** argv) {
         builder.AddSpout(
             "sources",
             [shared_keys, num_sources](uint32_t task) {
-              return std::make_unique<HotpathSpout>(shared_keys, task,
+              return std::make_unique<VectorSpout>(shared_keys, task,
                                                     num_sources);
             },
             num_sources);

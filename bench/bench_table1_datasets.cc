@@ -1,6 +1,6 @@
 // Table I — summary of the datasets used in the experiments: number of
 // messages, number of (distinct) keys, and probability of the most frequent
-// key p1. Our datasets are calibrated synthetic stand-ins (see DESIGN.md);
+// key p1. Our datasets are calibrated synthetic stand-ins (see docs/ARCHITECTURE.md, "Cluster model");
 // each sweep cell measures one generated stream and reports the paper's
 // targets next to the measured statistics as metric columns (paper_msgs /
 // paper_keys / paper_p1_pct vs msgs / distinct_keys / p1_pct, plus the

@@ -1,102 +1,81 @@
 #include "dspe_cell.h"
 
+#include <algorithm>
 #include <cctype>
 #include <memory>
 #include <utility>
 #include <vector>
 
+#include "slb/common/histogram.h"
+#include "slb/dspe/plan.h"
 #include "slb/dspe/standard_bolts.h"
-#include "slb/dspe/topology.h"
 
 namespace slb::bench {
 namespace {
 
-// Spout used by the threaded engine: the scenario's global stream split
-// round-robin among the spout tasks (spout s emits keys s, s+S, s+2S, ...).
-// This is the same sender interleave the partition simulator models, so a
-// threaded run and a sim run over the same generator route the same keys
-// from the same senders — the property the elastic-rescale replay and the
-// sim-vs-threaded equivalence test depend on. All spouts share one
-// materialized key vector (read-only after construction, so thread-safe).
-class CellVectorSpout final : public Spout {
- public:
-  CellVectorSpout(std::shared_ptr<const std::vector<uint64_t>> keys,
-                  uint64_t offset, uint64_t stride)
-      : keys_(std::move(keys)), pos_(offset), stride_(stride) {}
-
-  bool NextTuple(TopologyTuple* out) override {
-    if (pos_ >= keys_->size()) return false;
-    out->key = (*keys_)[pos_];
-    out->value = 1;
-    pos_ += stride_;
-    return true;
+// Fig. 14's reporting: per-worker average latencies, then their maximum and
+// percentiles across the workers that processed anything.
+void AddWorkerLatencyMetrics(const ComponentStats& workers,
+                             CellPayload* payload) {
+  Histogram across_workers(0, 1);
+  double max_avg = 0.0;
+  for (size_t i = 0; i < workers.task_latency_avg_ms.size(); ++i) {
+    if (workers.task_loads[i] == 0.0) continue;
+    across_workers.Add(workers.task_latency_avg_ms[i]);
+    max_avg = std::max(max_avg, workers.task_latency_avg_ms[i]);
   }
-
- private:
-  std::shared_ptr<const std::vector<uint64_t>> keys_;
-  uint64_t pos_;
-  uint64_t stride_;
-};
-
-Result<CellPayload> RunSimCell(const DspeCellOptions& options,
-                               const DspeConfig& config) {
-  auto result = RunDspeSimulation(config);
-  if (!result.ok()) return result.status();
-
-  CellPayload payload;
-  payload.sim.total_messages = result->completed;
-  if (options.throughput) {
-    ThroughputCounters counters;
-    counters.throughput_per_s = result->throughput_per_s;
-    counters.makespan_s = result->makespan_s;
-    counters.completed = result->completed;
-    payload.throughput = counters;
-  }
-  if (options.latency) {
-    LatencySnapshot snapshot;
-    snapshot.count = static_cast<int64_t>(result->completed);
-    snapshot.avg_ms = result->latency_avg_ms;
-    snapshot.p50_ms = result->latency_p50_ms;
-    snapshot.p95_ms = result->latency_p95_ms;
-    snapshot.p99_ms = result->latency_p99_ms;
-    snapshot.max_ms = result->latency_max_ms;
-    payload.latency = snapshot;
-  }
-  if (options.worker_latency) {
-    payload.AddMetric("worker_avg_max_ms", result->max_worker_avg_latency_ms);
-    payload.AddMetric("worker_avg_p50_ms", result->p50_worker_avg_latency_ms);
-    payload.AddMetric("worker_avg_p95_ms", result->p95_worker_avg_latency_ms);
-    payload.AddMetric("worker_avg_p99_ms", result->p99_worker_avg_latency_ms);
-  }
-  return payload;
+  payload->AddMetric("worker_avg_max_ms", max_avg);
+  payload->AddMetric("worker_avg_p50_ms", across_workers.p50());
+  payload->AddMetric("worker_avg_p95_ms", across_workers.p95());
+  payload->AddMetric("worker_avg_p99_ms", across_workers.p99());
 }
 
-Result<CellPayload> RunThreadedCell(const DspeCellOptions& options,
-                                    const DspeConfig& config,
-                                    const SweepCellContext& ctx) {
-  // The same spout->worker shape the simulator models: num_sources spout
-  // tasks splitting the scenario's stream round-robin, `n` worker-bolt
-  // tasks, the cell's grouping scheme on the single edge. Worker state is a
-  // real per-key sum, so processing cost is genuine work rather than an
-  // injected delay.
+Result<CellPayload> RunCell(const DspeCellOptions& options,
+                            const SweepCellContext& ctx) {
+  const bool threaded = options.engine == DspeEngine::kThreaded;
+  // The scenario's generator is the single source of truth for the workload
+  // size.
   auto gen = ctx.MakeStream();
   if (!gen.ok()) return gen.status();
-  auto stream = std::make_shared<std::vector<uint64_t>>();
-  stream->reserve(config.num_messages);
-  for (uint64_t i = 0; i < config.num_messages; ++i) {
-    stream->push_back((*gen)->NextKey());
+  const uint64_t messages = (*gen)->num_messages();
+  const uint64_t num_keys = (*gen)->num_keys();
+  const uint32_t num_sources = ctx.variant->num_sources > 0
+                                   ? ctx.variant->num_sources
+                                   : ctx.grid->num_sources;
+
+  TopologyOptions topology_options = options.base;
+  topology_options.seed = ctx.run_seed;
+  SpoutFactory spouts;
+  if (threaded) {
+    // The scenario's stream split round-robin among the spout tasks: the
+    // sender interleave the partition simulator models, which the
+    // elastic-rescale replay and the sim-vs-threaded equivalence test rely on.
+    auto stream = std::make_shared<std::vector<uint64_t>>();
+    stream->reserve(messages);
+    for (uint64_t i = 0; i < messages; ++i) stream->push_back((*gen)->NextKey());
+    std::shared_ptr<const std::vector<uint64_t>> shared = std::move(stream);
+    spouts = [shared, num_sources](uint32_t task) {
+      return std::make_unique<VectorSpout>(shared, task, num_sources);
+    };
+    topology_options.hash_seed = ctx.grid->seed;
+  } else {
+    // Each spout draws its own Zipf stream; the first messages % sources
+    // spouts emit one extra tuple.
+    const double z = ctx.scenario->param;
+    const uint64_t seed = ctx.run_seed;
+    spouts = [=](uint32_t task) {
+      const uint64_t count =
+          messages / num_sources + (task < messages % num_sources ? 1 : 0);
+      return std::make_unique<ZipfSpout>(z, num_keys, count,
+                                         seed + 1000003ULL * task);
+    };
+    // The plan re-mixes the base seed per edge; the XOR is its own inverse,
+    // so the spout -> worker edge hashes with the grid seed itself.
+    topology_options.hash_seed = EdgeHashSeed(ctx.grid->seed, 0, 0);
   }
-  std::shared_ptr<const std::vector<uint64_t>> shared_stream = stream;
-  const uint32_t num_sources = config.num_sources;
 
   TopologyBuilder builder;
-  builder.AddSpout(
-      "sources",
-      [shared_stream, num_sources](uint32_t task) {
-        return std::make_unique<CellVectorSpout>(shared_stream, task,
-                                                 num_sources);
-      },
-      config.num_sources);
+  builder.AddSpout("sources", std::move(spouts), num_sources);
   Grouping grouping;
   grouping.algorithm = ctx.algorithm;
   // theta/epsilon/sketch knobs carry over; num_workers and hash_seed are
@@ -105,13 +84,8 @@ Result<CellPayload> RunThreadedCell(const DspeCellOptions& options,
   builder
       .AddBolt("workers",
                [](uint32_t) { return std::make_unique<CountingBolt>(); },
-               config.partitioner.num_workers)
+               ctx.num_workers)
       .Input("sources", grouping);
-
-  TopologyOptions topology_options;
-  topology_options.hash_seed = config.partitioner.hash_seed;
-  topology_options.seed = config.seed;
-  topology_options.max_pending_per_spout = config.max_pending_per_source;
 
   // Live elastic rescale: the variant's schedule (the sweep axis in
   // bench_elastic_rescale) wins over the grid default, mirroring how the
@@ -121,14 +95,20 @@ Result<CellPayload> RunThreadedCell(const DspeCellOptions& options,
                                         ? ctx.variant->rescale
                                         : ctx.grid->rescale;
   if (!schedule.empty()) {
+    if (!threaded) {
+      return Status::InvalidArgument("live rescale needs the threaded engine");
+    }
     runtime.rescale.schedule = schedule;
-    runtime.rescale.total_messages = config.num_messages;
+    runtime.rescale.total_messages = messages;
   }
 
   auto result =
-      ExecuteTopologyThreaded(builder.Build(), topology_options, runtime);
+      threaded
+          ? ExecuteTopologyThreaded(builder.Build(), topology_options, runtime)
+          : ExecuteTopology(builder.Build(), topology_options);
   if (!result.ok()) return result.status();
   const TopologyStats& stats = result.value();
+  const ComponentStats& workers = stats.components.back();
 
   CellPayload payload;
   payload.sim.total_messages = stats.roots_acked;
@@ -149,13 +129,16 @@ Result<CellPayload> RunThreadedCell(const DspeCellOptions& options,
     snapshot.max_ms = stats.latency_max_ms;
     payload.latency = snapshot;
   }
-  // Executor idle accounting (the kAdaptive wait ladder; all zero under
-  // kSpin). Always attached so the smoke guard can assert the columns exist
-  // and are non-negative on every threaded run.
-  payload.AddMetric("idle_s", stats.idle_s);
-  payload.AddMetric("park_s", stats.park_s);
-  payload.AddCount("parks", stats.parks);
-  payload.AddCount("threads_pinned", stats.threads_pinned);
+  if (options.worker_latency) AddWorkerLatencyMetrics(workers, &payload);
+  if (threaded) {
+    // Executor idle accounting (the kAdaptive wait ladder; all zero under
+    // kSpin). Always attached so the smoke guard can assert the columns
+    // exist and are non-negative on every threaded run.
+    payload.AddMetric("idle_s", stats.idle_s);
+    payload.AddMetric("park_s", stats.park_s);
+    payload.AddCount("parks", stats.parks);
+    payload.AddCount("threads_pinned", stats.threads_pinned);
+  }
   if (!schedule.empty()) {
     // Modeled replay counters go where the simulator puts them (so the
     // rescale summary tables render both engines uniformly); the live
@@ -174,13 +157,9 @@ Result<CellPayload> RunThreadedCell(const DspeCellOptions& options,
     payload.AddMetric("migration_stall_s", rs.total_migration_stall_s);
     payload.AddCount("handoff_frames", rs.handoff_frames);
     payload.AddCount("measured_stalls", rs.measured_stalled_messages);
-    for (const ComponentStats& comp : stats.components) {
-      if (comp.name == "workers") {
-        payload.sim.final_imbalance = comp.imbalance;
-        payload.sim.worker_loads = comp.task_loads;
-        payload.sim.final_num_workers = rs.final_parallelism;
-      }
-    }
+    payload.sim.final_imbalance = workers.imbalance;
+    payload.sim.worker_loads = workers.task_loads;
+    payload.sim.final_num_workers = rs.final_parallelism;
   }
   return payload;
 }
@@ -206,29 +185,7 @@ Result<WaitStrategy> ParseWaitStrategy(const std::string& text) {
 }
 
 SweepCellRunner MakeDspeCellRunner(DspeCellOptions options) {
-  return [options](const SweepCellContext& ctx) -> Result<CellPayload> {
-    DspeConfig config = options.base;
-    config.algorithm = ctx.algorithm;
-    config.partitioner = ctx.variant->options;
-    config.partitioner.num_workers = ctx.num_workers;
-    config.partitioner.hash_seed = ctx.grid->seed;
-    config.num_sources = ctx.variant->num_sources > 0
-                             ? ctx.variant->num_sources
-                             : ctx.grid->num_sources;
-    config.zipf_exponent = ctx.scenario->param;
-    config.seed = ctx.run_seed;
-    // Single source of truth for the workload size: the scenario's own
-    // generator (both engines draw their streams internally, so only the
-    // counts and the exponent cross over).
-    auto gen = ctx.MakeStream();
-    if (!gen.ok()) return gen.status();
-    config.num_messages = (*gen)->num_messages();
-    config.num_keys = (*gen)->num_keys();
-
-    return options.engine == DspeEngine::kThreaded
-               ? RunThreadedCell(options, config, ctx)
-               : RunSimCell(options, config);
-  };
+  return [options](const SweepCellContext& ctx) { return RunCell(options, ctx); };
 }
 
 }  // namespace slb::bench

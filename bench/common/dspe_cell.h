@@ -1,8 +1,9 @@
 // Sweep cell runner for the cluster-level experiments (Figs. 13-14). Each
-// cell runs one of two engines:
+// cell builds one spout -> worker topology (the cell's grouping on the single
+// edge, a per-key sum at every worker) and runs it on one of two engines:
 //
-//   * kSim       — RunDspeSimulation, the queueing-network Storm stand-in
-//                  (modeled service times; deterministic, fast);
+//   * kSim       — ExecuteTopology, the discrete-event model of the Storm
+//                  cluster (modeled service times; deterministic, fast);
 //   * kThreaded  — ExecuteTopologyThreaded, the real multi-threaded runtime
 //                  (SPSC rings, credit backpressure): throughput and latency
 //                  are *measured* on the host, not modeled.
@@ -16,7 +17,7 @@
 #include <string>
 
 #include "slb/dspe/runtime.h"
-#include "slb/sim/dspe_simulator.h"
+#include "slb/dspe/topology.h"
 #include "slb/sim/sweep.h"
 
 namespace slb::bench {
@@ -34,12 +35,10 @@ Result<DspeEngine> ParseDspeEngine(const std::string& text);
 Result<WaitStrategy> ParseWaitStrategy(const std::string& text);
 
 struct DspeCellOptions {
-  /// Template config for the cluster's service parameters. Everything
-  /// workload- or cell-shaped is overwritten per cell: algorithm,
-  /// partitioner options, worker count, source count, seed, the Zipf
-  /// exponent (SweepScenario::param), and the message/key counts (read
-  /// from the scenario's generator, the single source of truth).
-  DspeConfig base;
+  /// The cluster's service parameters and credit window. The seeds are
+  /// overwritten per cell; the workload (grouping, worker and source
+  /// counts, stream) comes from the sweep context.
+  TopologyOptions base;
   DspeEngine engine = DspeEngine::kSim;
   /// kThreaded only: executor threads / ring sizes / emit batch.
   TopologyRuntimeOptions runtime;

@@ -118,7 +118,7 @@ int main(int argc, char** argv) {
   }, static_cast<uint32_t>(counters)).Input("split", grouping);
 
   slb::TopologyOptions options;
-  options.spout_service_ms = 0.05;
+  options.transport_rate_per_s = 100000;  // keep transport off the critical path
   options.bolt_service_ms = 1.0;  // the paper's 1 ms/tuple CPU cost
   options.max_pending_per_spout = 70;
 

@@ -175,26 +175,24 @@ else
   threaded_failures=1
 fi
 
-# Perf-trajectory soft guard (scripts/bench_compare.py + BENCH_runtime.json):
-# ratio-checks the threaded fig13 table against the recorded baseline. At
-# the smoke budget the absolute numbers are far from the recorded ones, so
-# >10% deltas only WARN; the guard fails the build solely on structural rot
-# (empty table, missing cells, throughput <= 0).
-compare_failures=0
+# End-to-end benchmark (bench/e2e): run.py builds bench_e2e from the
+# sources into its own build directory and runs every workload at the
+# --quick budget; it exits non-zero when a build step, a correctness check
+# (exact per-key delivery, determinism, goldens) or a workload fails.
+e2e_failures=0
 REPO_ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 if command -v python3 > /dev/null 2>&1; then
-  if [ -f "$THREADED_TSV" ] && [ -f "$REPO_ROOT/BENCH_runtime.json" ]; then
-    if ! python3 "$REPO_ROOT/scripts/bench_compare.py" compare \
-         --baseline "$REPO_ROOT/BENCH_runtime.json" --tsv "$THREADED_TSV"; then
-      echo "FAIL  bench_compare: structural failure (see above)" >&2
-      compare_failures=1
-    fi
+  if python3 "$REPO_ROOT/bench/e2e/run.py" --quick --build "$OUT_DIR/e2e" \
+       > "$OUT_DIR/bench_e2e.quick.txt" 2>&1; then
+    echo "OK    bench/e2e/run.py --quick"
   else
-    echo "FAIL  bench_compare: missing $THREADED_TSV or BENCH_runtime.json" >&2
-    compare_failures=1
+    echo "FAIL  bench/e2e/run.py --quick: non-zero exit" >&2
+    sed 's/^/      /' "$OUT_DIR/bench_e2e.quick.txt" >&2 || true
+    e2e_failures=1
   fi
 else
-  echo "SKIP  bench_compare (python3 not available)"
+  echo "FAIL  bench/e2e/run.py --quick: python3 not available" >&2
+  e2e_failures=1
 fi
 
 # The runtime micro-benches (ack coalescing, park/wake latency) are Google
@@ -382,10 +380,10 @@ fi
 if [ "$cost_failures" -gt 0 ]; then
   echo "cost-routing guard FAILED ($cost_failures problems)" >&2
 fi
-if [ "$compare_failures" -gt 0 ]; then
-  echo "perf-trajectory compare guard FAILED ($compare_failures problems)" >&2
+if [ "$e2e_failures" -gt 0 ]; then
+  echo "end-to-end benchmark smoke FAILED" >&2
 fi
 if [ "$micro_runtime_failures" -gt 0 ]; then
   echo "runtime micro-bench guard FAILED ($micro_runtime_failures problems)" >&2
 fi
-exit "$(((failures + headroom_failures + threaded_failures + rescale_failures + threaded_rescale_failures + cost_failures + compare_failures + micro_runtime_failures) > 0 ? 1 : 0))"
+exit "$(((failures + headroom_failures + threaded_failures + rescale_failures + threaded_rescale_failures + cost_failures + e2e_failures + micro_runtime_failures) > 0 ? 1 : 0))"

@@ -114,10 +114,11 @@ struct TopologyRuntimeOptions {
 };
 
 /// Runs the topology on real threads until every spout is exhausted and all
-/// in-flight tuple trees have acked. Service-time knobs of TopologyOptions
-/// (spout_service_ms / bolt_service_ms) are ignored — execution cost is
-/// whatever the spout/bolt code actually costs; hash_seed, seed,
-/// max_pending_per_spout, and max_tuples apply as in ExecuteTopology.
+/// in-flight tuple trees have acked. The cluster-model knobs of
+/// TopologyOptions (bolt_service_ms / transport_rate_per_s) are ignored —
+/// execution cost is whatever the spout/bolt code actually costs;
+/// hash_seed, seed, max_pending_per_spout, and max_tuples apply as in
+/// ExecuteTopology.
 ///
 /// Bolt instances are driven by exactly one executor thread each (tasks
 /// never migrate), so Bolt/Spout implementations need no internal locking —

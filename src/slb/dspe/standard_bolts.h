@@ -1,22 +1,71 @@
-// Reusable bolts for common streaming-aggregation patterns.
+// Reusable spouts and bolts for common streaming-aggregation patterns.
 //
-// These are the operators the paper's motivating applications are built
+// The bolts are the operators the paper's motivating applications are built
 // from (Sec. V: "computing statistics for classification, or extracting
-// frequent patterns"), written against the topology API so examples and
-// tests can compose them. All are deterministic and single-threaded (the
-// engine serializes task execution).
+// frequent patterns"), the spouts the two keyed sources the benches and
+// tests feed them with, all written against the topology API so examples
+// and tests can compose them. All are deterministic and single-threaded
+// (the engine serializes task execution).
 
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "slb/common/rng.h"
 #include "slb/dspe/topology.h"
 #include "slb/sketch/space_saving.h"
+#include "slb/workload/zipf.h"
 
 namespace slb {
+
+/// Replays a shared key vector: spout task `offset` of `stride` emits keys
+/// offset, offset + stride, offset + 2 * stride, ... (a round-robin split of
+/// one global stream among the spout tasks). The vector is read-only, so
+/// tasks on different threads may share it.
+class VectorSpout final : public Spout {
+ public:
+  VectorSpout(std::shared_ptr<const std::vector<uint64_t>> keys,
+              uint64_t offset, uint64_t stride)
+      : keys_(std::move(keys)), pos_(offset), stride_(stride) {}
+
+  bool NextTuple(TopologyTuple* out) override {
+    if (pos_ >= keys_->size()) return false;
+    out->key = (*keys_)[pos_];
+    out->value = 1;
+    pos_ += stride_;
+    return true;
+  }
+
+ private:
+  std::shared_ptr<const std::vector<uint64_t>> keys_;
+  uint64_t pos_;
+  uint64_t stride_;
+};
+
+/// Emits `count` keys drawn from Zipf(z, keys) with its own generator.
+class ZipfSpout final : public Spout {
+ public:
+  ZipfSpout(double z, uint64_t keys, uint64_t count, uint64_t seed)
+      : zipf_(z, keys), remaining_(count), rng_(seed) {}
+
+  bool NextTuple(TopologyTuple* out) override {
+    if (remaining_ == 0) return false;
+    --remaining_;
+    out->key = zipf_.Sample(&rng_);
+    out->value = 1;
+    return true;
+  }
+
+ private:
+  ZipfDistribution zipf_;
+  uint64_t remaining_;
+  Rng rng_;
+};
 
 /// Running per-key sum. The canonical stateful operator: its state fan-out
 /// across tasks is exactly what the paper's memory analysis charges.

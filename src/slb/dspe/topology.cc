@@ -41,6 +41,12 @@ struct InFlight {
   uint64_t root = 0;  // index into root bookkeeping
 };
 
+// A routed copy queued at the transport stage.
+struct Transit {
+  InFlight item;
+  uint32_t target = 0;
+};
+
 struct Task {
   uint32_t component = 0;
   uint32_t index = 0;  // instance index within the component
@@ -51,6 +57,7 @@ struct Task {
   std::unique_ptr<Spout> spout;
   std::unique_ptr<Bolt> bolt;
   uint64_t processed = 0;
+  RunningStats latency_ms;  // root emission -> end of processing here
   // Spout-only:
   uint32_t credits = 0;
   bool exhausted = false;
@@ -62,12 +69,12 @@ struct Root {
   uint32_t spout_task = 0;
 };
 
-enum class EventType : uint8_t { kSpoutEmit, kTaskDone };
+enum class EventType : uint8_t { kTransportDone, kTaskDone };
 
 struct Event {
   double time_s;
   EventType type;
-  uint32_t task;
+  uint32_t task;  // meaningful for kTaskDone
   bool operator>(const Event& other) const { return time_s > other.time_s; }
 };
 
@@ -81,7 +88,7 @@ class Collector final : public OutputCollector {
 
 Result<TopologyStats> ExecuteTopology(const TopologyBuilder::Topology& topology,
                                       const TopologyOptions& options) {
-  if (options.spout_service_ms <= 0 || options.bolt_service_ms <= 0) {
+  if (options.bolt_service_ms <= 0 || options.transport_rate_per_s <= 0) {
     return Status::InvalidArgument("service times must be positive");
   }
   if (options.max_pending_per_spout < 1) {
@@ -128,81 +135,100 @@ Result<TopologyStats> ExecuteTopology(const TopologyBuilder::Topology& topology,
   }
 
   // --- Event loop. ----------------------------------------------------------
-  const double spout_service_s = options.spout_service_ms / 1e3;
+  const double transport_service_s = 1.0 / options.transport_rate_per_s;
   const double bolt_service_s = options.bolt_service_ms / 1e3;
   std::priority_queue<Event, std::vector<Event>, std::greater<Event>> events;
+  std::deque<Transit> transport;
+  // Root slots are recycled, so bookkeeping is bounded by the credit window.
   std::vector<Root> roots;
-  Histogram latency_ms(1 << 18, options.seed ^ 0xabcdULL);
+  std::vector<uint64_t> free_roots;
+  Histogram latency_ms(1 << 19, options.seed ^ 0x1a7e9cULL);
   TopologyStats stats;
   double now_s = 0.0;
   double last_ack_s = 0.0;
 
-  // Routes `tuple` along every outgoing edge of `task`; returns copies made.
+  // Queues `tuple` at the transport stage once per outgoing edge of `task`;
+  // returns the copies made.
   auto route_downstream = [&](Task& task, const TopologyTuple& tuple,
                               uint64_t root) {
     const PlannedComponent& comp = components[task.component];
-    uint64_t copies = 0;
     for (size_t e = 0; e < comp.outputs.size(); ++e) {
       const PlannedEdge& edge = comp.outputs[e];
       const uint32_t idx = task.partitioners[e]->Route(tuple.key);
       const uint32_t target = components[edge.to_component].first_task + idx;
-      tasks[target].queue.push_back(InFlight{tuple, root});
-      ++copies;
-      if (!tasks[target].busy) {
-        tasks[target].busy = true;
-        events.push(Event{now_s + bolt_service_s, EventType::kTaskDone, target});
+      transport.push_back(Transit{InFlight{tuple, root}, target});
+      if (transport.size() == 1) {  // the stage was idle
+        events.push(
+            Event{now_s + transport_service_s, EventType::kTransportDone, 0});
       }
     }
-    return copies;
+    return static_cast<uint64_t>(comp.outputs.size());
   };
 
-  auto maybe_schedule_spout = [&](uint32_t task_id) {
-    Task& task = tasks[task_id];
-    if (task.busy || task.exhausted || task.credits == 0) return;
-    task.busy = true;
-    events.push(Event{now_s + spout_service_s, EventType::kSpoutEmit, task_id});
-  };
-
-  auto ack_root = [&](uint64_t root_id) {
-    Root& root = roots[root_id];
+  // Records the tree's completion and returns its credit to the spout.
+  auto complete_root = [&](uint64_t root_id) {
+    const Root& root = roots[root_id];
     latency_ms.Add((now_s - root.emit_time_s) * 1e3);
     ++stats.roots_acked;
     last_ack_s = now_s;
-    Task& spout_task = tasks[root.spout_task];
-    ++spout_task.credits;
-    maybe_schedule_spout(root.spout_task);
+    ++tasks[root.spout_task].credits;
+    free_roots.push_back(root_id);
+  };
+
+  // A spout emits as soon as it holds a credit.
+  auto emit_from = [&](uint32_t task_id) {
+    Task& task = tasks[task_id];
+    while (task.credits > 0 && !task.exhausted) {
+      TopologyTuple tuple;
+      if (!task.spout->NextTuple(&tuple)) {
+        task.exhausted = true;
+        break;
+      }
+      ++task.processed;
+      ++stats.tuples_processed;
+      --task.credits;
+      uint64_t root_id = roots.size();
+      if (free_roots.empty()) {
+        roots.emplace_back();
+      } else {
+        root_id = free_roots.back();
+        free_roots.pop_back();
+      }
+      roots[root_id] = Root{now_s, 0, task_id};
+      roots[root_id].pending = route_downstream(task, tuple, root_id);
+      if (roots[root_id].pending == 0) complete_root(root_id);  // no consumers
+    }
   };
 
   for (uint32_t t = 0; t < tasks.size(); ++t) {
-    if (tasks[t].spout != nullptr) maybe_schedule_spout(t);
+    if (tasks[t].spout != nullptr) emit_from(t);
   }
 
   while (!events.empty()) {
     const Event ev = events.top();
     events.pop();
     now_s = ev.time_s;
-    Task& task = tasks[ev.task];
 
-    if (ev.type == EventType::kSpoutEmit) {
-      task.busy = false;
-      TopologyTuple tuple;
-      if (!task.spout->NextTuple(&tuple)) {
-        task.exhausted = true;
-        continue;
+    if (ev.type == EventType::kTransportDone) {
+      SLB_CHECK(!transport.empty());
+      const Transit transit = transport.front();
+      transport.pop_front();
+      Task& target = tasks[transit.target];
+      target.queue.push_back(transit.item);
+      if (!target.busy) {
+        target.busy = true;
+        events.push(
+            Event{now_s + bolt_service_s, EventType::kTaskDone, transit.target});
       }
-      ++task.processed;
-      ++stats.tuples_processed;
-      --task.credits;
-      roots.push_back(Root{now_s, 0, ev.task});
-      const uint64_t root_id = roots.size() - 1;
-      const uint64_t copies = route_downstream(task, tuple, root_id);
-      roots[root_id].pending = copies;
-      if (copies == 0) ack_root(root_id);  // spout with no consumers
-      maybe_schedule_spout(ev.task);
+      if (!transport.empty()) {
+        events.push(
+            Event{now_s + transport_service_s, EventType::kTransportDone, 0});
+      }
       continue;
     }
 
     // kTaskDone: the head-of-queue tuple finishes processing at this bolt.
+    Task& task = tasks[ev.task];
     SLB_CHECK(!task.queue.empty());
     const InFlight in_flight = task.queue.front();
     task.queue.pop_front();
@@ -212,6 +238,7 @@ Result<TopologyStats> ExecuteTopology(const TopologyBuilder::Topology& topology,
       return Status::FailedPrecondition(
           "tuple budget exceeded; emission loop in topology?");
     }
+    task.latency_ms.Add((now_s - roots[in_flight.root].emit_time_s) * 1e3);
 
     Collector collector;
     task.bolt->Execute(in_flight.tuple, &collector);
@@ -220,7 +247,11 @@ Result<TopologyStats> ExecuteTopology(const TopologyBuilder::Topology& topology,
       root.pending += route_downstream(task, out, in_flight.root);
     }
     SLB_CHECK(root.pending > 0);
-    if (--root.pending == 0) ack_root(in_flight.root);
+    if (--root.pending == 0) {
+      const uint32_t spout_task = root.spout_task;  // emit_from reuses slots
+      complete_root(in_flight.root);
+      emit_from(spout_task);
+    }
 
     if (!task.queue.empty()) {
       events.push(Event{now_s + bolt_service_s, EventType::kTaskDone, ev.task});
@@ -248,12 +279,14 @@ Result<TopologyStats> ExecuteTopology(const TopologyBuilder::Topology& topology,
     }
     cs.tuples_processed = total;
     cs.task_loads.resize(comp.parallelism, 0.0);
+    cs.task_latency_avg_ms.resize(comp.parallelism, 0.0);
     double max_load = 0.0;
     for (uint32_t i = 0; i < comp.parallelism; ++i) {
       const Task& task = tasks[comp.first_task + i];
       cs.task_loads[i] = total > 0 ? static_cast<double>(task.processed) /
                                          static_cast<double>(total)
                                    : 0.0;
+      cs.task_latency_avg_ms[i] = task.latency_ms.mean();
       max_load = std::max(max_load, cs.task_loads[i]);
       if (task.bolt != nullptr) cs.state_entries += task.bolt->StateEntries();
     }

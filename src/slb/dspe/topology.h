@@ -3,8 +3,8 @@
 // The paper evaluates its groupings inside Apache Storm: spouts emit keyed
 // tuples, bolts process them, and every spout->bolt / bolt->bolt edge is
 // partitioned by a grouping scheme. This module reproduces that programming
-// model on top of the library's discrete-event engine, so applications can
-// be written once and executed deterministically:
+// model on top of a discrete-event model of the cluster, so applications
+// can be written once and executed deterministically:
 //
 //   TopologyBuilder builder;
 //   builder.AddSpout("words", spout_factory, /*parallelism=*/4);
@@ -12,12 +12,17 @@
 //          .Input("words", Grouping::DChoices());
 //   Result<TopologyStats> stats = ExecuteTopology(builder.Build(), options);
 //
-// Execution semantics (mirroring Storm with max-spout-pending acking):
-//   * every task (spout or bolt instance) is a FIFO queue with a
-//     deterministic per-tuple service time;
-//   * a spout may have at most `max_pending` tuple *trees* in flight; the
-//     tree is acked when the root tuple and every descendant emitted while
-//     processing it have been fully processed;
+// Execution semantics (mirroring Storm with max-spout-pending acking; the
+// rationale is in docs/ARCHITECTURE.md, "Cluster model"):
+//   * a spout may have at most `max_pending` tuple *trees* in flight and
+//     emits as soon as it holds a credit; the tree is acked when the root
+//     tuple and every descendant emitted while processing it have been fully
+//     processed;
+//   * every routed copy, spout and bolt emissions alike, crosses one shared
+//     FIFO transport stage of rate `transport_rate_per_s` (the framework's
+//     per-tuple emission / serialization / dispatch cost);
+//   * every bolt task is a FIFO queue with a deterministic per-tuple service
+//     time;
 //   * each upstream task owns a sender-local partitioner per outgoing edge
 //     (the paper's Sec. III: local load estimates, shared hash functions).
 
@@ -151,10 +156,13 @@ class TopologyBuilder {
   Topology topology_;
 };
 
-/// Engine knobs (the cluster model; defaults match sim/dspe_simulator).
+/// Engine knobs. The service-time defaults model the paper's Storm cluster
+/// (Figs. 13-14): 1 ms of injected CPU per tuple plus framework overhead at
+/// every bolt, and the emission capacity that caps a balanced topology.
 struct TopologyOptions {
-  double spout_service_ms = 0.3;  // per-tuple emission cost at the spout
-  double bolt_service_ms = 1.0;   // per-tuple processing cost at every bolt
+  double bolt_service_ms = 1.5;  // per-tuple processing cost at every bolt
+  /// Rate of the shared transport stage every routed copy crosses.
+  double transport_rate_per_s = 3300;
   uint32_t max_pending_per_spout = 70;
   uint64_t hash_seed = 42;
   uint64_t seed = 42;
@@ -171,6 +179,10 @@ struct ComponentStats {
   double imbalance = 0.0;
   /// Total state entries across this component's tasks (bolts only).
   size_t state_entries = 0;
+  /// Per-task mean latency (root emission -> end of processing at the task),
+  /// ms; 0 for spouts and idle tasks. Fig. 14's per-worker averages.
+  /// ExecuteTopology only; empty under the threaded engine.
+  std::vector<double> task_latency_avg_ms;
 };
 
 /// Outcome of a live elastic rescale (ExecuteTopologyThreaded with a
@@ -217,7 +229,7 @@ struct TopologyStats {
   double latency_p95_ms = 0.0;
   double latency_p99_ms = 0.0;
   double latency_max_ms = 0.0;
-  /// Threaded-engine executor accounting (all zero under the simulator).
+  /// Threaded-engine executor accounting (all zero under ExecuteTopology).
   /// idle_s is wall-clock the executors spent in the idle ladder (yield +
   /// park stages); park_s is the subset spent parked on the idle gate's
   /// condition variable; parks counts park episodes. Under

@@ -6,7 +6,7 @@
 // cardinality and message count (optionally scaled down for quick runs).
 // CT additionally carries concept drift (see DriftingKeyMapper), which is
 // the property Figs. 11-12 use it for. The substitution is recorded in
-// DESIGN.md.
+// docs/ARCHITECTURE.md ("Cluster model").
 //
 //   Dataset    Messages   Keys    p1       Drift
 //   WP         22M        2.9M    9.32%    none

@@ -39,26 +39,6 @@ constexpr uint32_t kBaseWorkers = 8;
 constexpr uint64_t kBaseHashSeed = 42;
 constexpr uint64_t kStreamSeed = 1234;
 
-class VectorSpout final : public Spout {
- public:
-  VectorSpout(std::shared_ptr<const std::vector<uint64_t>> keys,
-              uint64_t offset, uint64_t stride)
-      : keys_(std::move(keys)), pos_(offset), stride_(stride) {}
-
-  bool NextTuple(TopologyTuple* out) override {
-    if (pos_ >= keys_->size()) return false;
-    out->key = (*keys_)[pos_];
-    out->value = 1;
-    pos_ += stride_;
-    return true;
-  }
-
- private:
-  std::shared_ptr<const std::vector<uint64_t>> keys_;
-  uint64_t pos_;
-  uint64_t stride_;
-};
-
 SyntheticStreamGenerator::Options StreamOptions() {
   SyntheticStreamGenerator::Options options;
   options.zipf_exponent = 1.1;

@@ -36,29 +36,6 @@
 namespace slb {
 namespace {
 
-// Emits a shared key vector round-robin: spout `offset` of `stride` spouts
-// takes positions offset, offset+stride, ... (the canonical sender split the
-// migration replay assumes).
-class VectorSpout final : public Spout {
- public:
-  VectorSpout(std::shared_ptr<const std::vector<uint64_t>> keys,
-              uint64_t offset, uint64_t stride)
-      : keys_(std::move(keys)), pos_(offset), stride_(stride) {}
-
-  bool NextTuple(TopologyTuple* out) override {
-    if (pos_ >= keys_->size()) return false;
-    out->key = (*keys_)[pos_];
-    out->value = 1;
-    pos_ += stride_;
-    return true;
-  }
-
- private:
-  std::shared_ptr<const std::vector<uint64_t>> keys_;
-  uint64_t pos_;
-  uint64_t stride_;
-};
-
 std::shared_ptr<const std::vector<uint64_t>> MakeZipfKeys(uint64_t count,
                                                           uint64_t num_keys,
                                                           uint64_t seed) {

@@ -17,11 +17,9 @@
 #include <thread>
 #include <vector>
 
-#include "slb/common/rng.h"
 #include "slb/dspe/spsc_queue.h"
 #include "slb/dspe/standard_bolts.h"
 #include "slb/dspe/topology.h"
-#include "slb/workload/zipf.h"
 
 namespace slb {
 namespace {
@@ -179,25 +177,6 @@ TEST(SpscRingTest, ConsumerDrainsAfterProducerStops) {
 
 // ---------------------------------------------------------------------------
 // ExecuteTopologyThreaded
-
-class ZipfSpout final : public Spout {
- public:
-  ZipfSpout(double z, uint64_t keys, uint64_t count, uint64_t seed)
-      : zipf_(z, keys), remaining_(count), rng_(seed) {}
-
-  bool NextTuple(TopologyTuple* out) override {
-    if (remaining_ == 0) return false;
-    --remaining_;
-    out->key = zipf_.Sample(&rng_);
-    out->value = 1;
-    return true;
-  }
-
- private:
-  ZipfDistribution zipf_;
-  uint64_t remaining_;
-  Rng rng_;
-};
 
 class CountBolt final : public Bolt {
  public:

@@ -7,31 +7,10 @@
 #include <memory>
 #include <mutex>
 
-#include "slb/common/rng.h"
-#include "slb/workload/zipf.h"
+#include "slb/dspe/standard_bolts.h"
 
 namespace slb {
 namespace {
-
-// A spout emitting `count` tuples from a Zipf distribution.
-class ZipfSpout final : public Spout {
- public:
-  ZipfSpout(double z, uint64_t keys, uint64_t count, uint64_t seed)
-      : zipf_(z, keys), remaining_(count), rng_(seed) {}
-
-  bool NextTuple(TopologyTuple* out) override {
-    if (remaining_ == 0) return false;
-    --remaining_;
-    out->key = zipf_.Sample(&rng_);
-    out->value = 1;
-    return true;
-  }
-
- private:
-  ZipfDistribution zipf_;
-  uint64_t remaining_;
-  Rng rng_;
-};
 
 // Counts tuples per key (stateful aggregation). Optionally mirrors counts
 // into a caller-owned sink: the engine owns and destroys bolt instances, so
@@ -68,7 +47,7 @@ class FanoutBolt final : public Bolt {
 
 TopologyOptions FastOptions() {
   TopologyOptions options;
-  options.spout_service_ms = 0.01;
+  options.transport_rate_per_s = 100000;  // 0.01 ms per routed copy
   options.bolt_service_ms = 0.05;
   options.max_pending_per_spout = 100;
   return options;
@@ -165,6 +144,27 @@ TEST(TopologyExecutionTest, AckTreeCoversDescendants) {
   EXPECT_EQ(stats->components[2].tuples_processed, 3 * count);
 }
 
+TEST(TopologyExecutionTest, BoltEmissionsCrossTransportStage) {
+  // src -> fan(3) -> sink with near-free bolts: every root costs one spout
+  // copy plus three bolt-emitted copies at the shared transport stage, so
+  // roots complete at a quarter of its rate.
+  TopologyBuilder builder;
+  builder.AddSpout("src", [&](uint32_t) {
+    return std::make_unique<ZipfSpout>(1.0, 50, 4000, 3);
+  }, 1);
+  builder.AddBolt("fan", [](uint32_t) { return std::make_unique<FanoutBolt>(3); },
+                  2).Input("src", Grouping::Shuffle());
+  builder.AddBolt("sink", [](uint32_t) { return std::make_unique<CountBolt>(); },
+                  4).Input("fan", Grouping::Shuffle());
+  TopologyOptions options;
+  options.bolt_service_ms = 1e-6;
+  options.transport_rate_per_s = 4000;
+  auto stats = ExecuteTopology(builder.Build(), options);
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(stats->roots_acked, 4000u);
+  EXPECT_NEAR(stats->throughput_per_s, options.transport_rate_per_s / 4, 1.0);
+}
+
 TEST(TopologyExecutionTest, KeyGroupingImbalancedUnderSkew) {
   TopologyBuilder builder;
   builder.AddSpout("src", [&](uint32_t) {
@@ -252,8 +252,8 @@ TEST(TopologyExecutionTest, MultiStagePipelineLatencyOrdering) {
                   2).Input("a", Grouping::Pkg());
   auto stats = ExecuteTopology(builder.Build(), FastOptions());
   ASSERT_TRUE(stats.ok());
-  // Tree latency >= 2 bolt service times + spout service.
-  EXPECT_GE(stats->latency_p50_ms, 2 * 0.05 + 0.01 - 1e-9);
+  // Tree latency >= 2 bolt service times + 2 transport hops.
+  EXPECT_GE(stats->latency_p50_ms, 2 * 0.05 + 2 * 0.01 - 1e-9);
   EXPECT_LE(stats->latency_p50_ms, stats->latency_p99_ms);
 }
 
