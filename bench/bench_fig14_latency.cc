@@ -24,24 +24,11 @@ int Main(int argc, char** argv) {
   defaults.sources = 48;  // the paper's 48 spouts, overridable via --sources
 
   std::string engine_name = "sim";
-  std::string wait_name = "adaptive";
-  int64_t engine_threads = 0;
-  int64_t queue_capacity = 1024;
-  int64_t batch_size = 64;
-  bool pin_threads = false;
+  RuntimeFlags runtime(/*default_threads=*/0);
   FlagSet extra;
   extra.AddString("engine", &engine_name,
                   "execution engine: sim (modeled) or threaded (measured)");
-  extra.AddInt64("engine-threads", &engine_threads,
-                 "threaded engine: executor threads (0 = hardware)");
-  extra.AddInt64("queue-capacity", &queue_capacity,
-                 "threaded engine: per-edge ring capacity in tuples");
-  extra.AddInt64("batch-size", &batch_size,
-                 "threaded engine: emit batch / task quantum in tuples");
-  extra.AddString("wait-strategy", &wait_name,
-                  "threaded engine: idle executor policy (adaptive or spin)");
-  extra.AddBool("pin-threads", &pin_threads,
-                "threaded engine: pin executors round-robin over CPUs");
+  runtime.Register(&extra);
 
   BenchEnv env = ParseBenchArgs(argc, argv, "Fig. 14: cluster latency", &extra,
                                 defaults);
@@ -50,11 +37,9 @@ int Main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", engine.status().ToString().c_str());
     return 1;
   }
-  const auto wait_strategy = ParseWaitStrategy(wait_name);
-  if (!wait_strategy.ok()) {
-    std::fprintf(stderr, "%s\n", wait_strategy.status().ToString().c_str());
-    return 1;
-  }
+  DspeCellOptions cell;
+  cell.engine = engine.value();
+  if (!runtime.Fill(&cell.runtime)) return 1;
   // The threaded engine saturates the host by itself; concurrent sweep cells
   // would corrupt every cell's latency measurement.
   if (engine.value() == DspeEngine::kThreaded && env.threads == 0) {
@@ -70,13 +55,6 @@ int Main(int argc, char** argv) {
                        : "; tuple-level lat_* + across-worker "
                          "worker_avg_* (ms)"));
 
-  DspeCellOptions cell;
-  cell.engine = engine.value();
-  cell.runtime.num_threads = static_cast<uint32_t>(engine_threads);
-  cell.runtime.queue_capacity = static_cast<uint32_t>(queue_capacity);
-  cell.runtime.batch_size = static_cast<uint32_t>(batch_size);
-  cell.runtime.wait_strategy = wait_strategy.value();
-  cell.runtime.pin_threads = pin_threads;
   cell.throughput = false;  // Fig. 13 reports throughput; this figure latency
   // Per-worker-average percentiles come from the queueing model; the
   // threaded engine reports measured tuple-level percentiles instead.

@@ -64,48 +64,34 @@ int Main(int argc, char** argv) {
   BenchEnv defaults;
   defaults.sources = 8;
 
-  std::string wait_name = "adaptive";
-  int64_t engine_threads = 8;
-  int64_t queue_capacity = 1024;
-  int64_t batch_size = 64;
+  RuntimeFlags runtime_flags(/*default_threads=*/8);
   int64_t fanout = 4;
   int64_t stage_workers = 16;
-  bool pin_threads = false;
   FlagSet extra;
-  extra.AddInt64("engine-threads", &engine_threads,
-                 "executor threads (0 = hardware)");
-  extra.AddInt64("queue-capacity", &queue_capacity,
-                 "per-edge ring capacity in tuples");
-  extra.AddInt64("batch-size", &batch_size,
-                 "emit batch / task quantum in tuples");
+  runtime_flags.Register(&extra);
   extra.AddInt64("fanout", &fanout,
                  "children emitted per tuple by the middle bolt stage");
   extra.AddInt64("stage-workers", &stage_workers,
                  "parallelism of each bolt stage");
-  extra.AddString("wait-strategy", &wait_name,
-                  "idle executor policy (adaptive or spin)");
-  extra.AddBool("pin-threads", &pin_threads,
-                "pin executors round-robin over CPUs");
 
   BenchEnv env = ParseBenchArgs(
       argc, argv, "Threaded runtime hot path: spout -> fanout -> sink", &extra,
       defaults);
-  const auto wait_strategy = ParseWaitStrategy(wait_name);
-  if (!wait_strategy.ok()) {
-    std::fprintf(stderr, "%s\n", wait_strategy.status().ToString().c_str());
-    return 1;
-  }
+  TopologyRuntimeOptions runtime;
+  if (!runtime_flags.Fill(&runtime)) return 1;
   // This bench saturates the host with its own executor threads; the
   // --threads sweep axis does not apply (kept for smoke-script uniformity).
   const uint64_t messages = env.MessagesOr(100000, 1000000);
   const uint64_t num_keys = 10000;
 
   PrintBanner("bench_runtime_hotpath", "ROADMAP item 4",
-              "spout->fanout->sink, threads=" + std::to_string(engine_threads) +
+              "spout->fanout->sink, threads=" +
+                  std::to_string(runtime_flags.engine_threads) +
                   ", fanout=" + std::to_string(fanout) + ", stage_workers=" +
                   std::to_string(stage_workers) + ", m=" +
-                  std::to_string(messages) + ", wait=" + wait_name +
-                  (pin_threads ? ", pinned" : ""));
+                  std::to_string(messages) + ", wait=" +
+                  runtime_flags.wait_strategy +
+                  (runtime_flags.pin_threads ? ", pinned" : ""));
   std::printf(
       "#scenario\tzipf\talgo\tthreads\tfanout\tthroughput_per_s\t"
       "makespan_s\troots_acked\ttuples_processed\tlat_p99_ms\t"
@@ -156,12 +142,6 @@ int Main(int argc, char** argv) {
         TopologyOptions options;
         options.hash_seed = static_cast<uint64_t>(env.seed);
         options.seed = static_cast<uint64_t>(env.seed) + static_cast<uint64_t>(run);
-        TopologyRuntimeOptions runtime;
-        runtime.num_threads = static_cast<uint32_t>(engine_threads);
-        runtime.queue_capacity = static_cast<uint32_t>(queue_capacity);
-        runtime.batch_size = static_cast<uint32_t>(batch_size);
-        runtime.wait_strategy = wait_strategy.value();
-        runtime.pin_threads = pin_threads;
 
         auto result = ExecuteTopologyThreaded(builder.Build(), options, runtime);
         if (!result.ok()) {
@@ -184,7 +164,7 @@ int Main(int argc, char** argv) {
       const double n = static_cast<double>(env.runs);
       std::printf("zipf-%.1f\t%.1f\t%s\t%lld\t%lld\t%s\t%s\t%llu\t%llu\t%s\t%s\t%s\t%.0f\t%u\n",
                   z, z, AlgorithmKindName(algorithm).c_str(),
-                  static_cast<long long>(engine_threads),
+                  static_cast<long long>(runtime_flags.engine_threads),
                   static_cast<long long>(fanout), Sci(avg.throughput / n).c_str(),
                   Sci(avg.makespan / n).c_str(),
                   static_cast<unsigned long long>(avg.roots),

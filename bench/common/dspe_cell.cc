@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cstdio>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -131,6 +132,10 @@ Result<CellPayload> RunCell(const DspeCellOptions& options,
   }
   if (options.worker_latency) AddWorkerLatencyMetrics(workers, &payload);
   if (threaded) {
+    // The measured load split across the final workers, static cells
+    // included.
+    payload.sim.final_imbalance = workers.imbalance;
+    payload.sim.worker_loads = workers.task_loads;
     // Executor idle accounting (the kAdaptive wait ladder; all zero under
     // kSpin). Always attached so the smoke guard can assert the columns
     // exist and are non-negative on every threaded run.
@@ -157,11 +162,18 @@ Result<CellPayload> RunCell(const DspeCellOptions& options,
     payload.AddMetric("migration_stall_s", rs.total_migration_stall_s);
     payload.AddCount("handoff_frames", rs.handoff_frames);
     payload.AddCount("measured_stalls", rs.measured_stalled_messages);
-    payload.sim.final_imbalance = workers.imbalance;
-    payload.sim.worker_loads = workers.task_loads;
     payload.sim.final_num_workers = rs.final_parallelism;
   }
   return payload;
+}
+
+Result<WaitStrategy> ParseWaitStrategy(const std::string& text) {
+  std::string lower = text;
+  for (char& c : lower) c = static_cast<char>(std::tolower(c));
+  if (lower == "adaptive") return WaitStrategy::kAdaptive;
+  if (lower == "spin") return WaitStrategy::kSpin;
+  return Status::InvalidArgument("unknown wait strategy '" + text +
+                                 "' (expected adaptive or spin)");
 }
 
 }  // namespace
@@ -175,13 +187,31 @@ Result<DspeEngine> ParseDspeEngine(const std::string& text) {
                                  "' (expected sim or threaded)");
 }
 
-Result<WaitStrategy> ParseWaitStrategy(const std::string& text) {
-  std::string lower = text;
-  for (char& c : lower) c = static_cast<char>(std::tolower(c));
-  if (lower == "adaptive") return WaitStrategy::kAdaptive;
-  if (lower == "spin") return WaitStrategy::kSpin;
-  return Status::InvalidArgument("unknown wait strategy '" + text +
-                                 "' (expected adaptive or spin)");
+void RuntimeFlags::Register(FlagSet* flags) {
+  flags->AddInt64("engine-threads", &engine_threads,
+                  "threaded engine: executor threads (0 = hardware)");
+  flags->AddInt64("queue-capacity", &queue_capacity,
+                  "threaded engine: per-edge ring capacity in tuples");
+  flags->AddInt64("batch-size", &batch_size,
+                  "threaded engine: emit batch / task quantum in tuples");
+  flags->AddString("wait-strategy", &wait_strategy,
+                   "threaded engine: idle executor policy (adaptive or spin)");
+  flags->AddBool("pin-threads", &pin_threads,
+                 "threaded engine: pin executors round-robin over CPUs");
+}
+
+bool RuntimeFlags::Fill(TopologyRuntimeOptions* options) const {
+  const auto wait = ParseWaitStrategy(wait_strategy);
+  if (!wait.ok()) {
+    std::fprintf(stderr, "%s\n", wait.status().ToString().c_str());
+    return false;
+  }
+  options->num_threads = static_cast<uint32_t>(engine_threads);
+  options->queue_capacity = static_cast<uint32_t>(queue_capacity);
+  options->batch_size = static_cast<uint32_t>(batch_size);
+  options->wait_strategy = wait.value();
+  options->pin_threads = pin_threads;
+  return true;
 }
 
 SweepCellRunner MakeDspeCellRunner(DspeCellOptions options) {

@@ -9,13 +9,16 @@
 //                  are *measured* on the host, not modeled.
 //
 // Either way the cell reports throughput counters and latency snapshots in
-// the cell payload (the partition-sim fields stay zero — these experiments
-// measure the cluster, not routing imbalance).
+// the cell payload. Threaded cells also fill the partition-sim fields
+// final_imbalance and worker_loads with the measured load split across the
+// final workers; on sim cells they stay zero.
 
 #pragma once
 
+#include <cstdint>
 #include <string>
 
+#include "slb/common/flags.h"
 #include "slb/dspe/runtime.h"
 #include "slb/dspe/topology.h"
 #include "slb/sim/sweep.h"
@@ -30,9 +33,26 @@ enum class DspeEngine {
 /// Parses "sim" / "threaded" (case-insensitive).
 Result<DspeEngine> ParseDspeEngine(const std::string& text);
 
-/// Parses "adaptive" / "spin" (case-insensitive) into the threaded engine's
-/// idle-executor policy.
-Result<WaitStrategy> ParseWaitStrategy(const std::string& text);
+/// The threaded engine's knobs as bench flags: --engine-threads,
+/// --queue-capacity, --batch-size, --wait-strategy (adaptive or spin) and
+/// --pin-threads.
+struct RuntimeFlags {
+  explicit RuntimeFlags(int64_t default_threads)
+      : engine_threads(default_threads) {}
+
+  /// Binds the flags to the fields below, which hold the parsed values once
+  /// `flags` has parsed.
+  void Register(FlagSet* flags);
+  /// Copies the parsed values into `options`. On an unknown wait strategy,
+  /// prints the error to stderr and returns false.
+  bool Fill(TopologyRuntimeOptions* options) const;
+
+  int64_t engine_threads;
+  int64_t queue_capacity = 1024;
+  int64_t batch_size = 64;
+  std::string wait_strategy = "adaptive";
+  bool pin_threads = false;
+};
 
 struct DspeCellOptions {
   /// The cluster's service parameters and credit window. The seeds are

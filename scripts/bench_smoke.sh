@@ -268,7 +268,9 @@ fi
 # positive migration-stall time (resume -> last state install) on top of
 # nonzero migrated keys, and every rescaling row needs a positive quiesce
 # time. Zeros there mean the live protocol silently did nothing — the rot
-# this guard exists to catch.
+# this guard exists to catch. The static rows must report the measured
+# final imbalance: all of them at final_I == 0 means the threaded cells
+# dropped the worker loads (a consistent-hash row is never balanced).
 THREADED_RESCALE_TSV="$OUT_DIR/bench_elastic_rescale.threaded.tsv"
 threaded_rescale_failures=0
 rescale_bin="$BUILD_DIR/bench/bench_elastic_rescale"
@@ -292,18 +294,26 @@ if [ -x "$rescale_bin" ]; then
             if ($i == "keys_migrated") keys = i
             if ($i == "quiesce_s") quiesce = i
             if ($i == "stall_s") stall = i
+            if ($i == "final_I") imb = i
           }
           next
         }
         /^#/ || /^[[:space:]]*$/ { next }
         {
-          if (!keys || !sched || !quiesce || !stall) { print "missing-columns"; exit }
-          if ($sched == "static") next
+          if (!keys || !sched || !quiesce || !stall || !imb) { print "missing-columns"; exit }
+          if ($sched == "static") {
+            statics++
+            if ($imb + 0 != 0) imbalanced++
+            next
+          }
           if ($quiesce + 0 <= 0) print $1 "/" $sched "/" $3 ": quiesce_s=" $quiesce
           if ($sched ~ /^out/) {
             if ($keys + 0 <= 0) print $1 "/" $sched "/" $3 ": keys_migrated=" $keys
             if ($stall + 0 <= 0) print $1 "/" $sched "/" $3 ": stall_s=" $stall
           }
+        }
+        END {
+          if (statics > 0 && imbalanced == 0) print "static rows: final_I all 0"
         }')"
       if [ -n "$bad_threaded_rescale" ]; then
         echo "FAIL  bench_elastic_rescale --engine threaded: live protocol" \
@@ -311,7 +321,8 @@ if [ -x "$rescale_bin" ]; then
         threaded_rescale_failures=$((threaded_rescale_failures + 1))
       else
         echo "OK    bench_elastic_rescale --engine threaded" \
-             "(${tr_rows} rows, measured quiesce/stall all positive)"
+             "(${tr_rows} rows, measured quiesce/stall all positive," \
+             "static final_I measured)"
       fi
     fi
   fi

@@ -1,0 +1,729 @@
+// Live rescale for the threaded engine: the quiesce barrier, the worker-set
+// mutation and the key-state handoff mesh, behind the Elastic* hooks of
+// runtime_internal.h (docs/ARCHITECTURE.md "Live rescale").
+
+#include <algorithm>
+#include <deque>
+#include <exception>
+#include <string>
+#include <unordered_map>
+
+#include "slb/common/logging.h"
+#include "slb/dspe/runtime_internal.h"
+#include "slb/hash/hash.h"
+
+namespace slb::runtime_internal {
+
+// Spout trigger sentinel: no rescale event pending for this spout.
+constexpr uint64_t kNoTrigger = ~0ULL;
+
+// Key-state handoff frames, on dedicated SPSC rings between workers of the
+// rescaled bolt. kStateFrame ships one key's state to its new owner;
+// kPullRequest asks the directory's owner to ship it (lazy scale-out pull).
+constexpr uint32_t kStateFrame = 0;
+constexpr uint32_t kPullRequest = 1;
+constexpr uint32_t kHandoffRingCapacity = 128;
+
+struct HandoffFrame {
+  uint64_t key = 0;
+  uint64_t value = 0;
+  uint32_t kind = kStateFrame;
+  uint32_t from_worker = 0;  // sender's worker index in the rescaled bolt
+};
+
+// Per-task rescale state (TaskState::elastic).
+struct ElasticTask {
+  // Spout: pause after `processed == next_trigger` emissions; the routed
+  // stream is logged for the post-run migration replay.
+  uint64_t next_trigger = kNoTrigger;
+  bool paused = false;
+  SenderRoutingLog routing_log;
+  // Bolt: scale-in drain state and this task's handoff mesh endpoints.
+  bool draining = false;
+  bool retired = false;
+  std::vector<uint64_t> drain_keys;
+  size_t drain_cursor = 0;
+  std::vector<std::pair<TaskState*, SpscRing<HandoffFrame>*>> handoff_out;
+  std::vector<SpscRing<HandoffFrame>*> handoff_in;
+  std::vector<std::pair<TaskState*, HandoffFrame>> handoff_stash;
+};
+
+// Live-rescale coordination. Ownership discipline: fields below the barrier
+// block are written only by the mutator (the last executor to park at a
+// barrier) or before threads start; every executor re-reads them only after
+// the barrier generation advances, so barrier_mu carries the happens-before.
+struct ElasticState {
+  explicit ElasticState(std::vector<TaskState*>& live_workers)
+      : workers(live_workers) {}
+
+  // Static configuration.
+  uint32_t bolt_component = 0;
+  uint32_t num_spouts = 0;
+  uint64_t edge_hash_seed = 0;
+  RescaleCostModel cost;
+  BoltFactory bolt_factory;
+  uint64_t thread_seed_base = 0;
+
+  struct PendingEvent {
+    uint64_t at_message = 0;
+    uint32_t num_workers = 0;
+  };
+  std::vector<PendingEvent> pending;
+
+  // Storage behind TaskState::elastic and the handoff mesh.
+  std::deque<ElasticTask> task_state;
+  std::vector<std::unique_ptr<SpscRing<HandoffFrame>>> handoff_rings;
+
+  // Mutator-owned topology view.
+  size_t next_event = 0;
+  std::vector<TaskState*> spouts;      // elastic spout tasks, index order
+  std::vector<TaskState*>& workers;    // Runtime::live of the rescaled bolt
+  std::vector<RescaleFiredEvent> fired;
+
+  // Quiesce barrier: phase flips 0->1 when every spout sits at its trigger
+  // and every tuple tree has acked; every executor (none exits before stop)
+  // then parks on the generation barrier and the last arrival mutates.
+  std::mutex barrier_mu;
+  std::condition_variable barrier_cv;
+  uint64_t barrier_gen = 0;      // guarded by barrier_mu
+  uint32_t barrier_waiting = 0;  // guarded by barrier_mu
+  uint32_t active_threads = 0;   // guarded by barrier_mu
+  std::atomic<uint32_t> spouts_quiesced{0};
+  std::atomic<uint32_t> phase{0};
+  std::atomic<bool> cancelled{false};
+
+  // Migration directory: the keys that still owe a move this window.
+  // Scale-in entries are created at the barrier (frames_pending = number of
+  // removed holders); scale-out entries hold the lazy owner lists and
+  // resolve on first post-event touch. dir_active mirrors directory.size()
+  // so bolts skip the lock while nothing is pending.
+  struct DirEntry {
+    std::vector<uint32_t> owners;
+    uint32_t frames_pending = 0;
+  };
+  std::mutex dir_mu;
+  std::unordered_map<uint64_t, DirEntry> directory;  // guarded by dir_mu
+  std::atomic<uint64_t> dir_active{0};
+  // Keys with a state frame owed, scale-in drain keys included.
+  std::atomic<uint64_t> inflight_keys{0};
+
+  // Measured protocol costs.
+  std::atomic<uint64_t> handoff_frames{0};
+  std::atomic<uint64_t> measured_stalls{0};
+  std::atomic<int64_t> quiesce_start_ns{0};
+  std::atomic<int64_t> drain_done_ns{0};
+  std::atomic<int64_t> stall_window_start_ns{0};
+  std::atomic<int64_t> last_install_ns{0};
+  double total_quiesce_s = 0.0;          // mutator / post-join main only
+  double total_credit_drain_s = 0.0;     // mutator / post-join main only
+  double total_migration_stall_s = 0.0;  // mutator / post-join main only
+};
+
+void ElasticStateDeleter::operator()(ElasticState* els) const { delete els; }
+
+namespace {
+
+int64_t NowNs() {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
+// Messages spout s (of S, fed round-robin) emits before global position p:
+// the count of i < p with i == s (mod S). Triggers derived this way make the
+// threaded engine fire events at exactly the simulator's stream positions.
+uint64_t PreCount(uint64_t p, uint32_t s, uint32_t num_spouts) {
+  return p > s ? (p - s - 1) / num_spouts + 1 : 0;
+}
+
+// Every spout sits at its trigger and every in-flight tree has acked: the
+// topology is quiescent and the barrier may open.
+bool QuiesceComplete(const Runtime& rt, const ElasticState& els) {
+  return els.spouts_quiesced.load(std::memory_order_acquire) ==
+             els.num_spouts &&
+         !els.cancelled.load(std::memory_order_acquire) &&
+         rt.active_roots.load(std::memory_order_acquire) == 0;
+}
+
+SpscRing<HandoffFrame>* FindHandoffRing(TaskState& from, const TaskState* to) {
+  for (auto& [dest, ring] : from.elastic->handoff_out) {
+    if (dest == to) return ring;
+  }
+  return nullptr;
+}
+
+// Sends one frame from `from` toward `to`, stashing on a full ring (the
+// stash preserves order and is retried each quantum — natural backpressure
+// for the drain pace). Counts the frame exactly once, at send time.
+void PushHandoff(Runtime& rt, ElasticState& els, TaskState& from,
+                 TaskState* to, const HandoffFrame& frame) {
+  els.handoff_frames.fetch_add(1, std::memory_order_relaxed);
+  auto& stash = from.elastic->handoff_stash;
+  if (!stash.empty()) {
+    stash.emplace_back(to, frame);
+    return;
+  }
+  SpscRing<HandoffFrame>* ring = FindHandoffRing(from, to);
+  SLB_CHECK(ring != nullptr) << "no handoff ring for worker pair";
+  // The null test stays: gcc does not see SLB_CHECK's failure path as
+  // noreturn and warns (-Wstringop-overflow) on TryPush through a null ring.
+  if (ring == nullptr || !ring->TryPush(frame)) {
+    stash.emplace_back(to, frame);
+    return;
+  }
+  WakeHost(rt, to);
+}
+
+bool FlushHandoffStash(Runtime& rt, TaskState& task) {
+  bool moved = false;
+  auto& stash = task.elastic->handoff_stash;
+  for (size_t i = 0; i < stash.size();) {
+    SpscRing<HandoffFrame>* ring = FindHandoffRing(task, stash[i].first);
+    SLB_CHECK(ring != nullptr) << "no handoff ring for stashed frame";
+    if (ring != nullptr && ring->TryPush(stash[i].second)) {
+      WakeHost(rt, stash[i].first);
+      stash.erase(stash.begin() + i);  // stashes are tiny; O(n) is fine
+      moved = true;
+    } else {
+      ++i;
+    }
+  }
+  return moved;
+}
+
+// A state frame landed: retire its directory obligation. Erasing the entry
+// (once all expected frames arrived) is what re-opens the key's hot path.
+void ResolveInstalledKey(ElasticState& els, uint64_t key) {
+  std::lock_guard<std::mutex> lock(els.dir_mu);
+  auto it = els.directory.find(key);
+  SLB_CHECK(it != els.directory.end()) << "state frame for unknown key";
+  if (--it->second.frames_pending == 0) {
+    els.directory.erase(it);
+    els.dir_active.fetch_sub(1, std::memory_order_relaxed);
+    els.inflight_keys.fetch_sub(1, std::memory_order_relaxed);
+  }
+  els.last_install_ns.store(NowNs(), std::memory_order_relaxed);
+}
+
+// Services this worker's side of the handoff mesh: retries the stash, then
+// drains incoming frames — installing state, or answering pull requests by
+// extracting the key and shipping it back.
+bool ServiceHandoffs(Runtime& rt, ElasticState& els, TaskState& task) {
+  bool did_work = FlushHandoffStash(rt, task);
+  HandoffFrame frame;
+  for (SpscRing<HandoffFrame>* ring : task.elastic->handoff_in) {
+    while (ring->TryPop(&frame)) {
+      did_work = true;
+      if (frame.kind == kStateFrame) {
+        task.bolt->InstallKeyState(frame.key, frame.value);
+        ResolveInstalledKey(els, frame.key);
+      } else {
+        uint64_t value = 0;
+        task.bolt->ExtractKeyState(frame.key, &value);
+        PushHandoff(rt, els, task, els.workers[frame.from_worker],
+                    HandoffFrame{frame.key, value, kStateFrame, task.index});
+      }
+    }
+  }
+  return did_work;
+}
+
+// Quantum of a worker removed by scale-in: stream its sorted key state to
+// the survivors at batch pace, then retire. Its executor thread stays; once
+// every task it hosts has retired it idles like any other executor.
+bool DrainQuantum(Runtime& rt, ElasticState& els, TaskState& task) {
+  ElasticTask& et = *task.elastic;
+  bool did_work = FlushHandoffStash(rt, task);
+  if (!et.handoff_stash.empty()) return did_work;
+  const uint32_t n_live = static_cast<uint32_t>(els.workers.size());
+  uint32_t budget = rt.batch_size;
+  while (budget > 0 && et.drain_cursor < et.drain_keys.size()) {
+    const uint64_t key = et.drain_keys[et.drain_cursor++];
+    uint64_t value = 0;
+    task.bolt->ExtractKeyState(key, &value);
+    const uint32_t dest =
+        HashToRange(SeededHash64(key, els.edge_hash_seed), n_live);
+    PushHandoff(rt, els, task, els.workers[dest],
+                HandoffFrame{key, value, kStateFrame, task.index});
+    --budget;
+    did_work = true;
+    if (!et.handoff_stash.empty()) break;  // ring full: resume next quantum
+  }
+  if (et.drain_cursor == et.drain_keys.size() && et.handoff_stash.empty()) {
+    et.draining = false;
+    et.retired = true;
+    did_work = true;
+  }
+  return did_work;
+}
+
+void CloseStallWindow(ElasticState& els) {
+  const int64_t start =
+      els.stall_window_start_ns.load(std::memory_order_relaxed);
+  const int64_t last = els.last_install_ns.load(std::memory_order_relaxed);
+  if (start != 0 && last > start) {
+    els.total_migration_stall_s += static_cast<double>(last - start) * 1e-9;
+  }
+  els.stall_window_start_ns.store(0, std::memory_order_relaxed);
+  els.last_install_ns.store(0, std::memory_order_relaxed);
+}
+
+// Finishes the previous window's migration so the next event never
+// straddles it: runs every live bolt's handoff service (or scale-in drain)
+// until nothing moves, then clears the directory. Untouched lazy entries
+// keep their state where it is — exactly the lazy protocol.
+void SettleHandoffs(Runtime& rt, ElasticState& els) {
+  for (bool moved = true; moved;) {
+    moved = false;
+    for (const auto& t : rt.tasks) {
+      if (t->bolt == nullptr || t->elastic == nullptr || t->elastic->retired) {
+        continue;
+      }
+      moved |= t->elastic->draining ? DrainQuantum(rt, els, *t)
+                                    : ServiceHandoffs(rt, els, *t);
+    }
+  }
+  SLB_CHECK(els.inflight_keys.load(std::memory_order_relaxed) == 0)
+      << "unsettled handoff frame at barrier";
+  std::lock_guard<std::mutex> lock(els.dir_mu);
+  els.directory.clear();
+  els.dir_active.store(0, std::memory_order_relaxed);
+}
+
+void EnsureHandoffRing(ElasticState& els, TaskState* from, TaskState* to) {
+  if (from == to || FindHandoffRing(*from, to) != nullptr) return;
+  els.handoff_rings.push_back(
+      std::make_unique<SpscRing<HandoffFrame>>(kHandoffRingCapacity));
+  SpscRing<HandoffFrame>* ring = els.handoff_rings.back().get();
+  from->elastic->handoff_out.emplace_back(to, ring);
+  to->elastic->handoff_in.push_back(ring);
+}
+
+// Scale-in: the top (old_n - new_n) workers leave the routing range and,
+// after resume, stream their sorted key state to HashToRange-chosen
+// survivors, then retire. The directory pins every affected key until its
+// state lands (tuples arriving earlier count as measured stalls).
+void ScaleIn(ElasticState& els, uint32_t new_n) {
+  const uint32_t old_n = static_cast<uint32_t>(els.workers.size());
+  std::lock_guard<std::mutex> dir_lock(els.dir_mu);
+  for (uint32_t w = new_n; w < old_n; ++w) {
+    TaskState* t = els.workers[w];
+    ElasticTask& et = *t->elastic;
+    et.drain_keys.clear();
+    t->bolt->AppendStateKeys(&et.drain_keys);
+    std::sort(et.drain_keys.begin(), et.drain_keys.end());
+    et.drain_cursor = 0;
+    et.draining = true;
+    for (uint64_t key : et.drain_keys) {
+      const uint32_t dest =
+          HashToRange(SeededHash64(key, els.edge_hash_seed), new_n);
+      auto [it, inserted] =
+          els.directory.try_emplace(key, ElasticState::DirEntry{{dest}, 0});
+      if (inserted) {
+        els.dir_active.fetch_add(1, std::memory_order_relaxed);
+        els.inflight_keys.fetch_add(1, std::memory_order_relaxed);
+      }
+      ++it->second.frames_pending;
+    }
+    for (uint32_t d = 0; d < new_n; ++d) {
+      EnsureHandoffRing(els, t, els.workers[d]);
+    }
+  }
+  els.workers.resize(new_n);
+}
+
+// Scale-out: builds the lazy owner directory over every live key, spawns
+// bolt tasks for worker indices [old_n, new_n) with data rings from every
+// spout (replacing the drained ring of a retired worker at a reused index),
+// meshes all live pairs, and starts ONE executor thread for the new tasks.
+void ScaleOut(Runtime& rt, ElasticState& els, uint32_t new_n) {
+  const uint32_t old_n = static_cast<uint32_t>(els.workers.size());
+  {
+    std::lock_guard<std::mutex> lock(els.dir_mu);
+    for (uint32_t w = 0; w < old_n; ++w) {
+      std::vector<uint64_t> keys;
+      els.workers[w]->bolt->AppendStateKeys(&keys);
+      for (uint64_t key : keys) {
+        auto [it, inserted] =
+            els.directory.try_emplace(key, ElasticState::DirEntry{});
+        if (inserted) els.dir_active.fetch_add(1, std::memory_order_relaxed);
+        it->second.owners.push_back(w);
+      }
+    }
+  }
+
+  // Only the mutator grows `contexts`, so its size is read unlocked.
+  auto ctx = std::make_unique<ThreadCtx>(
+      els.thread_seed_base ^
+      (0x9e3779b97f4a7c15ULL * (rt.contexts.size() + 1)));
+  ctx->thread_index = static_cast<uint32_t>(rt.contexts.size());
+  for (uint32_t w = old_n; w < new_n; ++w) {
+    auto task = std::make_unique<TaskState>();
+    task->task_id = static_cast<uint32_t>(rt.tasks.size());
+    task->component = els.bolt_component;
+    task->index = w;
+    task->bolt = els.bolt_factory(w);
+    SLB_CHECK(task->bolt != nullptr) << "bolt factory returned null";
+    task->bolt->Prepare(w, new_n);
+    SLB_CHECK(task->bolt->SupportsStateHandoff());
+    TaskState* raw = task.get();
+    raw->elastic = &els.task_state.emplace_back();
+    for (TaskState* spout : els.spouts) {
+      rt.rings.push_back(
+          std::make_unique<SpscRing<RtTuple>>(rt.queue_capacity));
+      SpscRing<RtTuple>* ring = rt.rings.back().get();
+      OutEdge& out = spout->out[0];
+      if (w < out.rings.size()) {
+        // A retired worker owned this index before; its ring is drained and
+        // orphaned — swap in a fresh one.
+        SLB_CHECK(out.rings[w]->EmptyApprox());
+        SLB_CHECK(out.buffers[w].empty());
+        out.rings[w] = ring;
+        out.dest_tasks[w] = raw;
+        out.flushed[w] = 0;
+      } else {
+        SLB_CHECK(out.rings.size() == w);
+        out.rings.push_back(ring);
+        out.dest_tasks.push_back(raw);
+        out.buffers.emplace_back();
+        out.flushed.push_back(0);
+      }
+      raw->inputs.push_back(ring);
+    }
+    rt.tasks.push_back(std::move(task));
+    els.workers.push_back(raw);
+    ctx->tasks.push_back(raw);
+    raw->host = ctx.get();
+  }
+  // Lazy pulls flow between any live pair once the window opens.
+  for (TaskState* a : els.workers) {
+    for (TaskState* b : els.workers) EnsureHandoffRing(els, a, b);
+  }
+  ++els.active_threads;  // caller (the mutator) holds barrier_mu
+  std::lock_guard<std::mutex> lock(rt.spawn_mu);
+  rt.threads.emplace_back(ThreadMain, std::ref(rt), std::ref(*ctx));
+  rt.contexts.push_back(std::move(ctx));
+}
+
+// Runs with barrier_mu held and every other executor parked: settles the
+// last migration window, audits the quiesce invariants, fires the next event
+// (every sender's partitioner rescales in lockstep, like the simulator's
+// event loop), reprograms triggers, and opens the next stall window.
+void MutateAtBarrier(Runtime& rt, ElasticState& els) {
+  const int64_t quiesce_start =
+      els.quiesce_start_ns.load(std::memory_order_relaxed);
+  const int64_t drain_done = els.drain_done_ns.load(std::memory_order_relaxed);
+
+  SettleHandoffs(rt, els);
+  CloseStallWindow(els);
+
+  // Credit-backpressure audit (the regression pin): a quiesced topology has
+  // no live root trees, no unreturned spout credit, and empty transport.
+  SLB_CHECK(rt.active_roots.load(std::memory_order_acquire) == 0)
+      << "root trees alive across quiesce";
+  for (TaskState* spout : els.spouts) {
+    SLB_CHECK(spout->in_flight.load(std::memory_order_acquire) == 0)
+        << "spout credit not returned across quiesce";
+    SLB_CHECK(AllFlushed(*spout)) << "spout emit buffer non-empty at barrier";
+    SLB_CHECK(spout->elastic->paused &&
+              spout->processed == spout->elastic->next_trigger)
+        << "spout not at its trigger at barrier";
+  }
+  for (const auto& ring : rt.rings) {
+    SLB_CHECK(ring->EmptyApprox()) << "data ring non-empty at barrier";
+  }
+
+  SLB_CHECK(els.next_event < els.pending.size());
+  const ElasticState::PendingEvent event = els.pending[els.next_event++];
+  const uint32_t old_n = static_cast<uint32_t>(els.workers.size());
+  if (event.num_workers != old_n) {
+    els.fired.push_back(
+        RescaleFiredEvent{event.at_message, old_n, event.num_workers});
+    for (TaskState* spout : els.spouts) {
+      Status status = spout->partitioners[0]->Rescale(event.num_workers);
+      if (!status.ok()) {
+        rt.Fail(std::move(status));
+        return;
+      }
+    }
+    if (event.num_workers < old_n) {
+      ScaleIn(els, event.num_workers);
+    } else {
+      ScaleOut(rt, els, event.num_workers);
+    }
+  }
+
+  // Next trigger may equal the current position (stacked events): the spout
+  // then re-pauses before emitting anything and the next barrier fires it.
+  for (TaskState* spout : els.spouts) {
+    spout->elastic->next_trigger =
+        els.next_event < els.pending.size()
+            ? PreCount(els.pending[els.next_event].at_message, spout->index,
+                       els.num_spouts)
+            : kNoTrigger;
+    spout->elastic->paused = false;
+  }
+  els.spouts_quiesced.store(0, std::memory_order_relaxed);
+
+  const int64_t resume = NowNs();
+  if (quiesce_start != 0) {
+    els.total_credit_drain_s +=
+        static_cast<double>(drain_done - quiesce_start) * 1e-9;
+    els.total_quiesce_s +=
+        static_cast<double>(resume - quiesce_start) * 1e-9;
+  }
+  els.quiesce_start_ns.store(0, std::memory_order_relaxed);
+  els.drain_done_ns.store(0, std::memory_order_relaxed);
+  els.stall_window_start_ns.store(resume, std::memory_order_relaxed);
+}
+
+// Generation barrier every executor parks on while phase == 1; the last
+// arrival mutates. wait_for keeps it live across Fail() from any thread.
+void ParkAtBarrier(Runtime& rt, ElasticState& els) {
+  std::unique_lock<std::mutex> lock(els.barrier_mu);
+  // A stale observation (e.g. by a freshly spawned thread) finds phase 0.
+  if (els.phase.load(std::memory_order_acquire) != 1) return;
+  const uint64_t gen = els.barrier_gen;
+  if (++els.barrier_waiting == els.active_threads) {
+    try {
+      MutateAtBarrier(rt, els);
+    } catch (const std::exception& e) {
+      rt.Fail(Status::Internal(std::string("rescale mutation threw: ") +
+                               e.what()));
+    } catch (...) {
+      rt.Fail(Status::Internal("rescale mutation threw a non-std exception"));
+    }
+    --els.barrier_waiting;
+    ++els.barrier_gen;
+    els.phase.store(0, std::memory_order_release);
+    els.barrier_cv.notify_all();
+    return;
+  }
+  while (els.barrier_gen == gen && !rt.stop.load(std::memory_order_acquire)) {
+    els.barrier_cv.wait_for(lock, std::chrono::milliseconds(1));
+  }
+  --els.barrier_waiting;
+}
+
+}  // namespace
+
+// --- Hooks (runtime_internal.h). -------------------------------------------
+
+Status ElasticWire(Runtime& rt, const TopologyBuilder::Topology& topology,
+                   const TopologyPlan& plan, const TopologyOptions& options,
+                   const ThreadedRescaleSchedule& rescale) {
+  if (Status status = ValidateRescaleSchedule(rescale.schedule); !status.ok()) {
+    return status;
+  }
+  if (rescale.total_messages == 0) {
+    return Status::InvalidArgument("rescale.total_messages must be > 0");
+  }
+  auto resolved = ResolveElasticTarget(plan, rescale.component);
+  if (!resolved.ok()) return resolved.status();
+  const ElasticTargetPlan target = resolved.value();
+  const PlannedComponent& spout_comp = plan.components[target.spout_component];
+  const PlannedComponent& bolt_comp = plan.components[target.bolt_component];
+
+  rt.elastic.reset(new ElasticState(rt.live[target.bolt_component]));
+  ElasticState& els = *rt.elastic;
+  els.bolt_component = target.bolt_component;
+  els.num_spouts = spout_comp.parallelism;
+  els.edge_hash_seed =
+      EdgeHashSeed(options.hash_seed, target.spout_component, 0);
+  els.cost = rescale.schedule.cost;
+  els.bolt_factory = topology.bolts[bolt_comp.decl_index].factory;
+  els.thread_seed_base = options.seed ^ 0x7f4a7c15ULL;
+  els.active_threads = static_cast<uint32_t>(rt.contexts.size());
+  const double m = static_cast<double>(rescale.total_messages);
+  for (const RescaleEvent& event : rescale.schedule.events) {
+    els.pending.push_back(ElasticState::PendingEvent{
+        static_cast<uint64_t>(event.at_fraction * m), event.num_workers});
+  }
+  for (uint32_t i = 0; i < spout_comp.parallelism; ++i) {
+    TaskState* t = rt.tasks[spout_comp.first_task + i].get();
+    if (!t->partitioners[0]->SupportsRescale()) {
+      return Status::InvalidArgument(t->partitioners[0]->name() +
+                                     " does not support rescaling");
+    }
+    t->elastic = &els.task_state.emplace_back();
+    t->elastic->next_trigger =
+        PreCount(els.pending.front().at_message, i, els.num_spouts);
+    els.spouts.push_back(t);
+  }
+  for (uint32_t i = 0; i < bolt_comp.parallelism; ++i) {
+    TaskState* t = rt.tasks[bolt_comp.first_task + i].get();
+    if (!t->bolt->SupportsStateHandoff()) {
+      return Status::InvalidArgument(
+          "bolt '" + bolt_comp.name +
+          "' does not support state handoff (required for live rescale)");
+    }
+    t->elastic = &els.task_state.emplace_back();
+  }
+  return Status::OK();
+}
+
+bool ElasticGate(Runtime& rt) {
+  ElasticState& els = *rt.elastic;
+  if (els.phase.load(std::memory_order_acquire) == 1) {
+    ParkAtBarrier(rt, els);
+    return true;
+  }
+  if (!QuiesceComplete(rt, els)) return false;
+  // The first observer opens the barrier and stamps the credit-drain end.
+  uint32_t expected = 0;
+  if (els.phase.compare_exchange_strong(expected, 1,
+                                        std::memory_order_acq_rel)) {
+    els.drain_done_ns.store(NowNs(), std::memory_order_relaxed);
+    rt.WakeAll();  // parked peers must join the barrier
+  }
+  return true;
+}
+
+bool ElasticSpoutQuantum(Runtime& rt, ThreadCtx& ctx, TaskState& task) {
+  ElasticState& els = *rt.elastic;
+  ElasticTask& et = *task.elastic;
+  if (et.paused) {
+    if (!els.cancelled.load(std::memory_order_acquire)) return false;
+    // The schedule was cancelled while this spout sat at its trigger.
+    et.paused = false;
+    et.next_trigger = kNoTrigger;
+    els.spouts_quiesced.fetch_sub(1, std::memory_order_acq_rel);
+  }
+  const uint32_t budget = static_cast<uint32_t>(std::min<uint64_t>(
+      rt.batch_size, et.next_trigger - task.processed));
+  const bool did_work =
+      budget > 0 && EmitLoggedRoots(rt, ctx, task, budget, &et.routing_log);
+  if (et.next_trigger == kNoTrigger) return did_work;
+  if (task.exhausted) {
+    // The stream ran out short of the schedule's promised length: this
+    // spout can never reach its trigger, so no barrier can assemble.
+    // Cancel the remaining events (paused peers release themselves).
+    et.next_trigger = kNoTrigger;
+    els.cancelled.store(true, std::memory_order_release);
+    els.quiesce_start_ns.store(0, std::memory_order_relaxed);
+    rt.WakeAll();  // a peer may be parked with only a paused spout
+    return did_work;
+  }
+  if (task.processed != et.next_trigger) return did_work;
+  if (els.cancelled.load(std::memory_order_acquire)) {
+    et.next_trigger = kNoTrigger;  // emit on past the cancelled event
+    return did_work;
+  }
+  // Quiesce point: pause before the first post-event tuple. The emission
+  // loop has charged its roots, and the acq_rel publish on spouts_quiesced
+  // shows that charge to any thread seeing the full quiesce count, so the
+  // phase 0->1 CAS cannot fire while these roots are uncharged.
+  et.paused = true;
+  els.spouts_quiesced.fetch_add(1, std::memory_order_acq_rel);
+  int64_t expected = 0;
+  els.quiesce_start_ns.compare_exchange_strong(expected, NowNs(),
+                                               std::memory_order_acq_rel);
+  rt.WakeAll();  // parked peers must re-evaluate the quiesce state
+  return did_work;
+}
+
+bool ElasticBoltService(Runtime& rt, TaskState& task, bool* did_work,
+                        bool* check_keys) {
+  ElasticState& els = *rt.elastic;
+  ElasticTask& et = *task.elastic;
+  if (et.retired) return false;
+  if (et.draining) {
+    *did_work |= DrainQuantum(rt, els, task);
+    return false;
+  }
+  *did_work |= ServiceHandoffs(rt, els, task);
+  // Entries are only created at barriers: a zero here holds all quantum.
+  *check_keys = els.dir_active.load(std::memory_order_relaxed) > 0;
+  return true;
+}
+
+// Mirrors MigrationTracker::OnMessage: a key whose state is in flight counts
+// as a measured stall (the tuple is processed anyway; counters merge once
+// the frame lands); a key landing on a worker that already holds its state
+// resolves without moving; a key landing anywhere else pulls the state from
+// its lowest-indexed owner.
+void ElasticCheck(Runtime& rt, TaskState& task, uint64_t key) {
+  ElasticState& els = *rt.elastic;
+  std::lock_guard<std::mutex> lock(els.dir_mu);
+  auto it = els.directory.find(key);
+  if (it == els.directory.end()) return;
+  ElasticState::DirEntry& entry = it->second;
+  if (entry.frames_pending > 0) {
+    els.measured_stalls.fetch_add(1, std::memory_order_relaxed);
+    return;
+  }
+  const uint32_t self = task.index;
+  if (std::find(entry.owners.begin(), entry.owners.end(), self) !=
+      entry.owners.end()) {
+    els.directory.erase(it);  // checked, nothing moves
+    els.dir_active.fetch_sub(1, std::memory_order_relaxed);
+    return;
+  }
+  const uint32_t owner = entry.owners.front();
+  entry.frames_pending = 1;
+  els.inflight_keys.fetch_add(1, std::memory_order_relaxed);
+  PushHandoff(rt, els, task, els.workers[owner],
+              HandoffFrame{key, 0, kPullRequest, task.index});
+}
+
+bool ElasticRunnable(Runtime& rt, const ThreadCtx& ctx) {
+  const ElasticState& els = *rt.elastic;
+  if (els.phase.load(std::memory_order_acquire) != 0) return true;
+  if (QuiesceComplete(rt, els)) return true;  // someone must open the barrier
+  for (const TaskState* task : ctx.tasks) {
+    const ElasticTask* et = task->elastic;
+    if (et == nullptr || et->retired) continue;
+    if (task->spout != nullptr) {
+      // A spout held at its trigger only runs to release a cancelled one.
+      if (et->paused ? els.cancelled.load(std::memory_order_acquire)
+                     : HasCredit(rt, *task)) {
+        return true;
+      }
+      continue;
+    }
+    if (et->draining || !et->handoff_stash.empty()) return true;
+    for (SpscRing<HandoffFrame>* ring : et->handoff_in) {
+      if (!ring->EmptyApprox()) return true;
+    }
+  }
+  return false;
+}
+
+bool ElasticSettled(const Runtime& rt) {
+  return rt.elastic->inflight_keys.load(std::memory_order_acquire) == 0;
+}
+
+void ElasticStats(Runtime& rt, TopologyStats* stats) {
+  ElasticState& els = *rt.elastic;
+  CloseStallWindow(els);
+  TopologyRescaleStats& rs = stats->rescale;
+  rs.rescale_events = static_cast<uint32_t>(els.fired.size());
+  rs.final_parallelism = static_cast<uint32_t>(els.workers.size());
+  rs.handoff_frames = els.handoff_frames.load(std::memory_order_relaxed);
+  rs.measured_stalled_messages =
+      els.measured_stalls.load(std::memory_order_relaxed);
+  rs.total_quiesce_s = els.total_quiesce_s;
+  rs.total_credit_drain_s = els.total_credit_drain_s;
+  rs.total_migration_stall_s = els.total_migration_stall_s;
+  // Modeled columns: replay the routing logs (audited before they move out)
+  // through the simulator's migration protocol — deterministic at any thread
+  // count and byte-identical to RunPartitionSimulation on these streams.
+  std::vector<SenderRoutingLog> logs;
+  logs.reserve(els.spouts.size());
+  for (TaskState* t : els.spouts) {
+    SenderRoutingLog& log = t->elastic->routing_log;
+    stats->routing_log_capacity_bytes +=
+        log.keys.capacity() * sizeof(uint64_t) +
+        log.workers.capacity() * sizeof(uint32_t);
+    logs.push_back(std::move(log));
+  }
+  MigrationTracker tracker =
+      ReplayRoundRobinMigration(els.cost, els.fired, logs);
+  rs.keys_migrated = tracker.keys_migrated();
+  rs.state_bytes_migrated = tracker.state_bytes_migrated();
+  rs.stalled_messages = tracker.stalled_messages();
+  rs.moved_key_fraction = tracker.moved_key_fraction();
+  rs.migrated_keys = tracker.migrated_keys();
+}
+
+}  // namespace slb::runtime_internal

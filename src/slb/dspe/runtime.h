@@ -1,23 +1,15 @@
 // Threaded topology executor — the real (measured, not simulated) engine.
 //
 // ExecuteTopology in topology.h replays Storm's scheduling semantics inside
-// a discrete-event loop; every throughput/latency number it produces is
-// *modeled*. This runtime executes the same declarative topology on real
-// threads so bench_fig13/fig14 can report hardware-measured msgs/sec and
-// queue-delay percentiles (ROADMAP item 1):
-//
-//   * transport: one bounded lock-free SPSC ring (spsc_queue.h) per
-//     (producer task, consumer task) pair of every edge; a bolt consumes by
-//     polling its per-producer rings round-robin (MPSC fan-in without CAS);
-//   * emit batching: producers buffer up to `batch_size` routed tuples per
-//     destination and publish each batch with a single release store;
-//   * backpressure: spouts hold a credit window of `max_pending_per_spout`
-//     root tuples (TopologyOptions), returned when the tuple tree acks; full
-//     rings additionally stall producers without blocking their thread, so
-//     pressure propagates source-ward exactly like Storm's max-spout-pending;
-//   * scheduling: tasks are assigned round-robin to `num_threads` executor
-//     threads; each thread runs its tasks cooperatively (a task quantum
-//     never blocks, so one thread can host many tasks without deadlock).
+// a discrete-event loop, so its throughput and latency are *modeled*. This
+// runtime executes the same declarative topology on real threads, so
+// bench_fig13/fig14 can report hardware-measured msgs/sec and queue-delay
+// percentiles. Transport is one bounded lock-free SPSC ring per (producer
+// task, consumer task) pair of every edge, fed in batches of `batch_size`;
+// spouts hold a credit window of `max_pending_per_spout` root tuples, and
+// full rings stall producers without blocking their thread; tasks run
+// cooperatively on `num_threads` executor threads. See docs/ARCHITECTURE.md
+// "The threaded runtime".
 //
 // Determinism: each task's partitioner state is sender-local and fed only by
 // that task's own tuple sequence, so for single-layer topologies the routing
@@ -29,14 +21,12 @@
 //
 // Live elastic rescale (TopologyRuntimeOptions::rescale): the runtime can
 // grow and shrink the bolt component of a spout->bolt topology while it
-// runs — executor threads are started and retired without tearing the
-// topology down, and per-key bolt state follows the keys through real
-// handoff frames on dedicated rings. Which keys move is governed by the
-// same protocol RunPartitionSimulation models (eager sorted handoff on
-// scale-in, lazy recheck on scale-out; see docs/ARCHITECTURE.md "Elastic
-// rescale protocol"), while TopologyStats::rescale additionally reports the
-// *measured* costs: quiesce latency, credit-drain time, and post-resume
-// migration stall.
+// runs. Scale-out starts one executor thread for the added workers; a
+// scale-in worker drains its state and retires while its thread stays up.
+// Per-key bolt state follows the keys through real handoff frames, moving
+// exactly the keys RunPartitionSimulation's protocol moves (docs/
+// ARCHITECTURE.md "Elastic rescale protocol"); TopologyStats::rescale also
+// reports the *measured* quiesce, credit-drain and migration-stall times.
 
 #pragma once
 

@@ -9,6 +9,10 @@
 //   * per-key delivery counts match the input histogram exactly (checked
 //     through a thread-safe sink, so a tuple delivered twice or dropped
 //     during a handoff epoch is caught even when totals happen to balance);
+//   * per-key state is conserved — every bolt, live or retired, reports its
+//     remaining state when the engine destroys it, and each key's total
+//     equals its input count (a frame lost, duplicated or installed twice
+//     in a handoff shows up here even when delivery was exact);
 //   * acks conserved — the run terminates with all credit windows returned
 //     (a leaked credit deadlocks the run; a double-returned one overshoots
 //     roots_acked);
@@ -24,6 +28,8 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "slb/common/rng.h"
@@ -47,17 +53,59 @@ std::shared_ptr<const std::vector<uint64_t>> MakeZipfKeys(uint64_t count,
   return keys;
 }
 
-// Per-key delivery histogram shared by every bolt task (tasks run on
-// different executor threads, hence atomics).
-struct DeliveryHistogram {
-  explicit DeliveryHistogram(uint64_t num_keys) : per_key(num_keys) {}
+// Per-key counters shared by every bolt task (tasks run on different
+// executor threads, hence atomics).
+struct KeyCounters {
+  explicit KeyCounters(uint64_t num_keys) : per_key(num_keys) {}
   std::vector<std::atomic<uint64_t>> per_key;
+};
+
+// CountingBolt that, when destroyed, adds the per-key state it still holds
+// to `state`. The engine destroys every bolt it created (live and retired)
+// before it returns, so the table then holds each key's final state total.
+class StateReportingBolt final : public Bolt {
+ public:
+  StateReportingBolt(CountingBolt::Sink sink,
+                     std::shared_ptr<KeyCounters> state)
+      : inner_(std::move(sink)), state_(std::move(state)) {}
+  StateReportingBolt(const StateReportingBolt&) = delete;
+  StateReportingBolt& operator=(const StateReportingBolt&) = delete;
+  ~StateReportingBolt() override {
+    if (!state_) return;
+    std::vector<uint64_t> keys;
+    inner_.AppendStateKeys(&keys);
+    for (uint64_t key : keys) {
+      uint64_t value = 0;
+      inner_.ExtractKeyState(key, &value);
+      state_->per_key[key].fetch_add(value, std::memory_order_relaxed);
+    }
+  }
+
+  void Execute(const TopologyTuple& tuple, OutputCollector* out) override {
+    inner_.Execute(tuple, out);
+  }
+  size_t StateEntries() const override { return inner_.StateEntries(); }
+  bool SupportsStateHandoff() const override { return true; }
+  void AppendStateKeys(std::vector<uint64_t>* keys) const override {
+    inner_.AppendStateKeys(keys);
+  }
+  bool ExtractKeyState(uint64_t key, uint64_t* value) override {
+    return inner_.ExtractKeyState(key, value);
+  }
+  void InstallKeyState(uint64_t key, uint64_t value) override {
+    inner_.InstallKeyState(key, value);
+  }
+
+ private:
+  CountingBolt inner_;
+  std::shared_ptr<KeyCounters> state_;
 };
 
 TopologyBuilder::Topology ElasticTopology(
     std::shared_ptr<const std::vector<uint64_t>> keys, uint32_t num_spouts,
     uint32_t num_workers, AlgorithmKind algorithm,
-    std::shared_ptr<DeliveryHistogram> histogram = nullptr) {
+    std::shared_ptr<KeyCounters> histogram = nullptr,
+    std::shared_ptr<KeyCounters> state = nullptr) {
   TopologyBuilder builder;
   builder.AddSpout(
       "sources",
@@ -69,7 +117,7 @@ TopologyBuilder::Topology ElasticTopology(
   grouping.algorithm = algorithm;
   builder
       .AddBolt("workers",
-               [histogram](uint32_t) {
+               [histogram, state](uint32_t) {
                  CountingBolt::Sink sink = nullptr;
                  if (histogram) {
                    sink = [histogram](uint64_t key, uint64_t) {
@@ -77,7 +125,8 @@ TopologyBuilder::Topology ElasticTopology(
                          1, std::memory_order_relaxed);
                    };
                  }
-                 return std::make_unique<CountingBolt>(std::move(sink));
+                 return std::make_unique<StateReportingBolt>(std::move(sink),
+                                                             state);
                },
                num_workers)
       .Input("sources", grouping);
@@ -105,24 +154,58 @@ RescaleSchedule RandomSchedule(Rng* rng, uint32_t base_workers,
   return schedule;
 }
 
+struct ScheduleCase {
+  uint64_t seed = 0;  // key stream
+  RescaleSchedule schedule;
+  uint32_t final_workers = 0;
+  std::vector<AlgorithmKind> algorithms;
+};
+
+// Random schedules, plus near-stacked ones whose events land within a few
+// messages of each other (or at the same position), so each barrier fires
+// while the previous window's drain or pulls are still unfinished and the
+// mutator must settle them itself.
+std::vector<ScheduleCase> StressCases(uint32_t base_workers) {
+  std::vector<ScheduleCase> cases;
+  for (uint64_t seed : {11u, 29u, 83u}) {
+    Rng rng(seed * 977 + 13);
+    ScheduleCase c;
+    c.seed = seed;
+    c.schedule = RandomSchedule(&rng, base_workers, &c.final_workers);
+    c.algorithms = {AlgorithmKind::kPkg, AlgorithmKind::kConsistentHash};
+    cases.push_back(std::move(c));
+  }
+  const std::vector<std::vector<RescaleEvent>> stacked = {
+      {{0.3, 4}, {0.30001, 12}, {0.6, 3}},
+      {{0.5, 2}, {0.5001, 16}},
+      {{0.2, 14}, {0.4, 5}, {0.40001, 9}, {0.7, 2}}};
+  for (size_t i = 0; i < stacked.size(); ++i) {
+    ScheduleCase c;
+    c.seed = 101 + i;
+    c.schedule.events = stacked[i];
+    c.final_workers = stacked[i].back().num_workers;
+    c.algorithms = {AlgorithmKind::kPkg, AlgorithmKind::kConsistentHash,
+                    AlgorithmKind::kDChoices};
+    cases.push_back(std::move(c));
+  }
+  return cases;
+}
+
 TEST(RescaleStressTest, RandomSchedulesHoldInvariantsAcrossThreadCounts) {
   constexpr uint64_t kMessages = 24000;
   constexpr uint64_t kNumKeys = 400;
   constexpr uint32_t kSpouts = 4;
   constexpr uint32_t kBaseWorkers = 8;
 
-  for (uint64_t seed : {11u, 29u, 83u}) {
-    Rng rng(seed * 977 + 13);
+  for (const ScheduleCase& stress : StressCases(kBaseWorkers)) {
+    const uint64_t seed = stress.seed;
+    const RescaleSchedule& schedule = stress.schedule;
+    const uint32_t final_workers = stress.final_workers;
     auto keys = MakeZipfKeys(kMessages, kNumKeys, seed);
     std::vector<uint64_t> expected_per_key(kNumKeys, 0);
     for (uint64_t key : *keys) ++expected_per_key[key];
 
-    uint32_t final_workers = 0;
-    const RescaleSchedule schedule =
-        RandomSchedule(&rng, kBaseWorkers, &final_workers);
-
-    for (AlgorithmKind algorithm :
-         {AlgorithmKind::kPkg, AlgorithmKind::kConsistentHash}) {
+    for (AlgorithmKind algorithm : stress.algorithms) {
       std::vector<uint64_t> reference_migrated;
       uint64_t reference_stalled = 0;
       bool have_reference = false;
@@ -131,7 +214,8 @@ TEST(RescaleStressTest, RandomSchedulesHoldInvariantsAcrossThreadCounts) {
         SCOPED_TRACE("seed=" + std::to_string(seed) +
                      " algo=" + std::to_string(static_cast<int>(algorithm)) +
                      " threads=" + std::to_string(threads));
-        auto histogram = std::make_shared<DeliveryHistogram>(kNumKeys);
+        auto histogram = std::make_shared<KeyCounters>(kNumKeys);
+        auto state = std::make_shared<KeyCounters>(kNumKeys);
         TopologyOptions options;
         options.hash_seed = 7;
         options.seed = seed;
@@ -144,7 +228,8 @@ TEST(RescaleStressTest, RandomSchedulesHoldInvariantsAcrossThreadCounts) {
         rt.rescale.total_messages = kMessages;
 
         auto result = ExecuteTopologyThreaded(
-            ElasticTopology(keys, kSpouts, kBaseWorkers, algorithm, histogram),
+            ElasticTopology(keys, kSpouts, kBaseWorkers, algorithm, histogram,
+                            state),
             options, rt);
         ASSERT_TRUE(result.ok()) << result.status().ToString();
         const TopologyStats& stats = result.value();
@@ -159,6 +244,10 @@ TEST(RescaleStressTest, RandomSchedulesHoldInvariantsAcrossThreadCounts) {
           ASSERT_EQ(histogram->per_key[key].load(std::memory_order_relaxed),
                     expected_per_key[key])
               << "key " << key;
+          // Every tuple adds 1 to its key's state, wherever the state lives.
+          ASSERT_EQ(state->per_key[key].load(std::memory_order_relaxed),
+                    expected_per_key[key])
+              << "state of key " << key;
         }
         // Final worker set matches the schedule.
         EXPECT_EQ(stats.rescale.final_parallelism, final_workers);
