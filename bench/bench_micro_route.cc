@@ -91,13 +91,13 @@ void BM_RouteBatchWC(benchmark::State& state) {
 
 BENCHMARK(BM_RouteKG)->Arg(10)->Arg(100);
 BENCHMARK(BM_RouteSG)->Arg(10)->Arg(100);
-BENCHMARK(BM_RoutePKG)->Arg(10)->Arg(100);
-BENCHMARK(BM_RouteDC)->Arg(10)->Arg(100);
-BENCHMARK(BM_RouteWC)->Arg(10)->Arg(100);
+BENCHMARK(BM_RoutePKG)->Arg(10)->Arg(80)->Arg(100);
+BENCHMARK(BM_RouteDC)->Arg(10)->Arg(80)->Arg(100);
+BENCHMARK(BM_RouteWC)->Arg(10)->Arg(80)->Arg(100);
 BENCHMARK(BM_RouteRR)->Arg(10)->Arg(100);
-BENCHMARK(BM_RouteBatchPKG)->Arg(10)->Arg(100);
-BENCHMARK(BM_RouteBatchDC)->Arg(10)->Arg(100);
-BENCHMARK(BM_RouteBatchWC)->Arg(10)->Arg(100);
+BENCHMARK(BM_RouteBatchPKG)->Arg(10)->Arg(80)->Arg(100);
+BENCHMARK(BM_RouteBatchDC)->Arg(10)->Arg(80)->Arg(100);
+BENCHMARK(BM_RouteBatchWC)->Arg(10)->Arg(80)->Arg(100);
 
 }  // namespace
 }  // namespace slb

@@ -11,17 +11,22 @@
 #include "slb/sketch/space_saving.h"
 
 namespace slb {
+namespace {
+
+// Auto-size so the count error stays below theta/2 of the stream:
+// SpaceSaving/Misra-Gries error <= N/capacity, so capacity = 2/theta.
+size_t AutoSketchCapacity(double theta) {
+  return std::max<size_t>(static_cast<size_t>(std::ceil(2.0 / theta)), 64);
+}
+
+}  // namespace
 
 std::unique_ptr<FrequencyEstimator> HeadTailPartitioner::MakeSketch(
     const PartitionerOptions& options) {
   const double theta = options.theta();
-  size_t capacity = options.sketch_capacity;
-  if (capacity == 0) {
-    // Auto-size so the count error stays below theta/2 of the stream:
-    // SpaceSaving/Misra-Gries error <= N/capacity, so capacity = 2/theta.
-    capacity = static_cast<size_t>(std::ceil(2.0 / theta));
-    capacity = std::max<size_t>(capacity, 64);
-  }
+  const size_t capacity = options.sketch_capacity > 0
+                              ? options.sketch_capacity
+                              : AutoSketchCapacity(theta);
   switch (options.sketch) {
     case SketchKind::kSpaceSaving:
       return std::make_unique<SpaceSaving>(capacity);
@@ -63,7 +68,8 @@ HeadTailPartitioner::HeadTailPartitioner(const PartitionerOptions& options)
     : options_(options),
       family_(options.num_workers, options.num_workers, options.hash_seed),
       sketch_(MakeSketch(options)),
-      loads_(options.num_workers, 0) {
+      loads_(options.num_workers, 0),
+      head_cache_bound_(AutoSketchCapacity(options.theta())) {
   SLB_CHECK(options_.num_workers >= 1);
   SLB_CHECK(options_.theta_ratio > 0.0) << "theta must be positive";
   SLB_CHECK(sketch_ != nullptr);
@@ -78,25 +84,63 @@ Status HeadTailPartitioner::Rescale(uint32_t new_num_workers) {
   family_ = HashFamily(new_num_workers, new_num_workers, options_.hash_seed);
   loads_.resize(new_num_workers, 0);
   signal_.Rescale(new_num_workers, messages_);
+  ClearHeadCache();
+  head_cache_bound_ = AutoSketchCapacity(options_.theta());
   // Force Reoptimize() on the next Route(): derived head policy (D-Choices'
   // d, the theta threshold's 1/n factor) must see the new n before routing.
   next_reoptimize_ = messages_;
   return Status::OK();
 }
 
-uint32_t HeadTailPartitioner::LeastLoadedOfChoices(uint64_t key, uint32_t d) const {
+void HeadTailPartitioner::ClearHeadCache() {
+  head_cache_.Clear();
+  head_candidates_.clear();
+}
+
+const uint32_t* HeadTailPartitioner::HeadCandidates(uint64_t key, uint32_t d) {
+  if (d != head_cache_d_) {
+    ClearHeadCache();
+    head_cache_d_ = d;
+  }
+  const int32_t found = head_cache_.Get(key);
+  if (found != FlatIndexMap::kAbsent) return &head_candidates_[found];
+  if (head_cache_.size() >= head_cache_bound_) ClearHeadCache();
+  const size_t offset = head_candidates_.size();
+  head_candidates_.resize(offset + d);
+  family_.Candidates(key, d, &head_candidates_[offset]);
+  head_cache_.Set(key, static_cast<int32_t>(offset));
+  return &head_candidates_[offset];
+}
+
+uint32_t HeadTailPartitioner::LeastLoadedOfChoices(uint64_t key, uint32_t d) {
   // The family holds one function per worker, so the two-choices tail step
   // must degrade to one choice when n == 1 (d > n never helps anyway: the
   // candidate set cannot contain more than n distinct workers).
   d = std::min(d, family_.max_functions());
+  if (d == 2 && !signal_.active()) {
+    // The tail-key fast path (the overwhelming majority of routed messages):
+    // pair-hash both candidates and select branchlessly — on skewed streams
+    // the load comparison is unpredictable, so a cmov beats a branch.
+    uint32_t w0, w1;
+    family_.Worker2(key, &w0, &w1);
+    return loads_[w1] < loads_[w0] ? w1 : w0;
+  }
+  uint32_t pair[2] = {};
+  const uint32_t* candidates = pair;
+  if (d > 2) {
+    candidates = HeadCandidates(key, d);
+  } else {
+    family_.Candidates(key, d, pair);
+  }
+  // First minimum wins ties, in candidate order F_1..F_d.
+  uint32_t best = candidates[0];
   if (signal_.active()) {
     // Cost-aware path: same candidate set, min over the cost/in-flight
     // signal instead of the message count.
-    uint32_t best = family_.Worker(key, 0);
     double best_load = signal_.At(best, messages_);
     double best_tie = signal_.TieBreak(best);
     for (uint32_t i = 1; i < d; ++i) {
-      const uint32_t candidate = family_.Worker(key, i);
+      const uint32_t candidate = candidates[i];
       const double load = signal_.At(candidate, messages_);
       const double tie = signal_.TieBreak(candidate);
       if (load < best_load || (load == best_load && tie < best_tie)) {
@@ -107,22 +151,15 @@ uint32_t HeadTailPartitioner::LeastLoadedOfChoices(uint64_t key, uint32_t d) con
     }
     return best;
   }
-  if (d == 2) {
-    // The tail-key fast path (the overwhelming majority of routed messages):
-    // pair-hash both candidates and select branchlessly — on skewed streams
-    // the load comparison is unpredictable, so a cmov beats a branch.
-    uint32_t w0, w1;
-    family_.Worker2(key, &w0, &w1);
-    return loads_[w1] < loads_[w0] ? w1 : w0;
-  }
-  uint32_t best = family_.Worker(key, 0);
   uint64_t best_load = loads_[best];
   for (uint32_t i = 1; i < d; ++i) {
-    const uint32_t candidate = family_.Worker(key, i);
-    if (loads_[candidate] < best_load) {
-      best = candidate;
-      best_load = loads_[candidate];
-    }
+    // Branchless select, as on the tail path: which candidate is lighter is
+    // unpredictable, so a cmov chain beats a mispredicted branch.
+    const uint32_t candidate = candidates[i];
+    const uint64_t load = loads_[candidate];
+    const bool lighter = load < best_load;
+    best = lighter ? candidate : best;
+    best_load = lighter ? load : best_load;
   }
   return best;
 }

@@ -12,6 +12,7 @@
 #include <memory>
 #include <vector>
 
+#include "slb/common/flat_hash.h"
 #include "slb/core/balance_signal.h"
 #include "slb/core/partitioner.h"
 #include "slb/hash/hash_family.h"
@@ -41,6 +42,10 @@ class HeadTailPartitioner : public StreamPartitioner {
   const FrequencyEstimator& sketch() const { return *sketch_; }
   const PartitionerOptions& options() const { return options_; }
 
+  /// Head keys whose d candidates are memoized (diagnostics; never more
+  /// than the sketch's auto capacity, 2/theta keys with a floor of 64).
+  size_t cached_head_keys() const { return head_cache_.size(); }
+
  protected:
   /// Routing policy for head keys; must return a worker in [0, n).
   virtual uint32_t RouteHead(uint64_t key) = 0;
@@ -50,8 +55,9 @@ class HeadTailPartitioner : public StreamPartitioner {
   virtual void Reoptimize() {}
 
   /// Least loaded among the first `d` hashed candidates of `key`
-  /// (the Greedy-d step, using this sender's local load vector).
-  uint32_t LeastLoadedOfChoices(uint64_t key, uint32_t d) const;
+  /// (the Greedy-d step, using this sender's local load vector). For d > 2
+  /// the candidates come from the head-candidate cache.
+  uint32_t LeastLoadedOfChoices(uint64_t key, uint32_t d);
 
   /// Least loaded among all workers (the W-Choices head step).
   uint32_t LeastLoadedOverall() const;
@@ -63,11 +69,25 @@ class HeadTailPartitioner : public StreamPartitioner {
   static std::unique_ptr<FrequencyEstimator> MakeSketch(
       const PartitionerOptions& options);
 
+  /// F_1..F_d of `key` (d > 2), memoized: a head key is routed many times
+  /// between changes of d, and rehashing all d candidates per tuple is the
+  /// dominant routing cost. The cache is a bounded, rebuildable memo of the
+  /// shared hash family — not a routing table: any sender recomputes the
+  /// same candidates, so the key -> candidate-set mapping stays identical
+  /// across senders. Cleared when d changes, on Rescale, and wholesale when
+  /// it holds head_cache_bound_ keys.
+  const uint32_t* HeadCandidates(uint64_t key, uint32_t d);
+  void ClearHeadCache();
+
   PartitionerOptions options_;
   HashFamily family_;
   std::unique_ptr<FrequencyEstimator> sketch_;
   std::vector<uint64_t> loads_;
   CostSignal signal_;  // cost/in-flight signal when balance_on != kCount
+  FlatIndexMap head_cache_;                // key -> offset into head_candidates_
+  std::vector<uint32_t> head_candidates_;  // head_cache_d_ workers per key
+  uint32_t head_cache_d_ = 0;
+  size_t head_cache_bound_;                // the sketch's auto capacity
   uint64_t messages_ = 0;
   uint64_t next_reoptimize_ = 0;  // doubling warm-up, then fixed cadence
   bool last_was_head_ = false;

@@ -67,13 +67,25 @@ void SpaceSaving::IncrementCounter(int32_t c) {
   Counter& counter = counters_[c];
   const int32_t old_b = counter.bucket;
   const uint64_t new_count = counter.count + 1;
+  const int32_t next_b = buckets_[old_b].next;
+  const bool next_matches =
+      next_b != kNil && buckets_[next_b].count == new_count;
+
+  if (!next_matches && buckets_[old_b].head == c && counter.next == kNil) {
+    // Alone in its bucket and no bucket holds count+1: bump the bucket in
+    // place. The next bucket's count exceeds new_count, so the ascending
+    // order (and min_bucket_) is unchanged — the hot path of a skewed
+    // stream, whose hottest keys each hold a unique count.
+    buckets_[old_b].count = new_count;
+    counter.count = new_count;
+    return;
+  }
 
   DetachCounter(c);
   counter.count = new_count;
 
-  const int32_t next_b = buckets_[old_b].next;
   int32_t target;
-  if (next_b != kNil && buckets_[next_b].count == new_count) {
+  if (next_matches) {
     target = next_b;
   } else {
     target = AllocBucket(new_count);

@@ -85,7 +85,8 @@ class SpaceSaving final : public FrequencyEstimator {
   };
 
   // Moves counter `c` from its bucket to the bucket with count+1 (creating
-  // it if needed), maintaining all invariants.
+  // it if needed), maintaining all invariants. A counter alone in its bucket
+  // with no count+1 bucket next keeps its bucket, whose count is bumped.
   void IncrementCounter(int32_t c);
 
   // Replaces the whole structure with `sorted_desc` (descending by count,

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <map>
 #include <set>
 
@@ -10,6 +11,7 @@
 #include "slb/core/basic_groupings.h"
 #include "slb/core/d_choices.h"
 #include "slb/core/head_tail_partitioner.h"
+#include "slb/workload/scenario.h"
 #include "slb/workload/zipf.h"
 
 namespace slb {
@@ -383,6 +385,35 @@ TEST(RescaleTest, WChoicesHeadSpansNewWorkerSet) {
     if (key == 0 && wc.last_was_head()) head_workers.insert(w);
   }
   EXPECT_EQ(head_workers.size(), 15u);
+}
+
+TEST(HeadCandidateCacheTest, StaysBoundedOverHotSetChurnAndRescale) {
+  // A rotating hot set keeps minting new head keys; the per-sender
+  // candidate cache must stay within 2/theta keys (the sketch's auto
+  // capacity) at every step and start empty after a rescale.
+  ScenarioOptions scenario;
+  scenario.num_keys = 100000;
+  scenario.num_messages = 400000;
+  scenario.zipf_exponent = 1.2;
+  scenario.num_epochs = 40;
+  auto stream = MakeScenario("hot-set-churn", scenario);
+  ASSERT_TRUE(stream.ok()) << stream.status().ToString();
+
+  PartitionerOptions opt = Opts(80);
+  DChoices dc(opt);
+  size_t bound = static_cast<size_t>(std::ceil(2.0 / opt.theta()));
+  size_t peak = 0;
+  for (uint64_t i = 0; i < scenario.num_messages; ++i) {
+    if (i == scenario.num_messages / 2) {
+      ASSERT_TRUE(dc.Rescale(40).ok());
+      EXPECT_EQ(dc.cached_head_keys(), 0u) << "Rescale must drop the cache";
+      bound = static_cast<size_t>(std::ceil(2.0 / dc.options().theta()));
+    }
+    dc.Route(stream.value()->NextKey());
+    ASSERT_LE(dc.cached_head_keys(), bound) << "at message " << i;
+    peak = std::max(peak, dc.cached_head_keys());
+  }
+  EXPECT_GT(peak, 0u) << "the stream never routed a head key through d choices";
 }
 
 TEST(SketchAblationTest, AllSketchKindsRouteCorrectly) {

@@ -216,5 +216,72 @@ TEST(SpaceSavingTest, StreamSummaryHandlesLongIncrementChains) {
   EXPECT_EQ(ss.total(), 1000u + 334u);
 }
 
+// Golden outputs: every UpdateAndEstimate return, the final Counters() and
+// min_count() folded into one FNV-1a checksum per stream. Recorded from the
+// detach-and-relink Stream-Summary increment, so any faster bucket update
+// must keep every estimate, eviction and LIFO tie order identical.
+class SpaceSavingGolden {
+ public:
+  explicit SpaceSavingGolden(size_t capacity) : ss_(capacity) {}
+
+  void Update(uint64_t key) { Fold(ss_.UpdateAndEstimate(key)); }
+
+  uint64_t Finish() {
+    for (const HeavyKey& hk : ss_.Counters()) {
+      Fold(hk.key);
+      Fold(hk.count);
+      Fold(hk.error);
+    }
+    Fold(ss_.min_count());
+    return checksum_;
+  }
+
+ private:
+  void Fold(uint64_t value) {
+    for (int byte = 0; byte < 8; ++byte) {
+      checksum_ = (checksum_ ^ ((value >> (8 * byte)) & 0xff)) * 0x100000001b3ULL;
+    }
+  }
+
+  SpaceSaving ss_;
+  uint64_t checksum_ = 0xcbf29ce484222325ULL;
+};
+
+uint64_t ZipfGolden(size_t capacity, double z) {
+  SpaceSavingGolden golden(capacity);
+  const ZipfDistribution zipf(z, 100000);
+  Rng rng(2024);
+  for (int i = 0; i < 200000; ++i) golden.Update(zipf.Sample(&rng));
+  return golden.Finish();
+}
+
+TEST(SpaceSavingGoldenTest, HeavyEvictionZipf) {
+  // Capacity 64 against a 10^5-key z=1.1 stream: most updates evict.
+  const uint64_t checksum = ZipfGolden(64, 1.1);
+  EXPECT_EQ(checksum, 0x17d085cc0e34292fULL) << std::hex << checksum;
+}
+
+TEST(SpaceSavingGoldenTest, HotKeysWithUniqueCounts) {
+  // Capacity 800 against z=2.0: the hottest keys sit alone in their buckets.
+  const uint64_t checksum = ZipfGolden(800, 2.0);
+  EXPECT_EQ(checksum, 0x6bd7c580e8a5de04ULL) << std::hex << checksum;
+}
+
+TEST(SpaceSavingGoldenTest, LifoEvictionAmongEqualCounts) {
+  // Exactly `capacity` keys round-robin (all counts equal), then fresh keys:
+  // which monitored key each newcomer evicts is the within-bucket order.
+  constexpr size_t kCapacity = 16;
+  SpaceSavingGolden golden(kCapacity);
+  for (int round = 0; round < 3; ++round) {
+    for (uint64_t key = 0; key < kCapacity; ++key) golden.Update(key);
+  }
+  for (uint64_t fresh = 0; fresh < 40; ++fresh) {
+    golden.Update(1000 + fresh);
+    golden.Update(fresh % kCapacity);
+  }
+  const uint64_t checksum = golden.Finish();
+  EXPECT_EQ(checksum, 0x0b759d6578c1faddULL) << std::hex << checksum;
+}
+
 }  // namespace
 }  // namespace slb
