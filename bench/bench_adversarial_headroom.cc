@@ -139,9 +139,6 @@ int Main(int argc, char** argv) {
                   "comma-separated catalog scenario list (default: the full "
                   "calibrated adversarial list)");
   const BenchEnv env = ParseBenchArgs(argc, argv, "", &flags);
-  // Reject an unsupported --format before the sweep, not after minutes of
-  // simulation (this bench emits the TSV-only series table).
-  if (!CheckReportFormat(env, ReportMode::kTableAndSeries)) return 2;
   // Longer streams than the PR-3 defaults: the dynamic scenarios need room
   // for the slow sketch to be visibly slow (ROADMAP calibration follow-up).
   const uint64_t messages = env.MessagesOr(1000000, 10000000);
@@ -186,7 +183,7 @@ int Main(int argc, char** argv) {
   grid.num_samples = 120;
 
   const SweepResultTable table = RunGridForEnv(env, std::move(grid));
-  const int exit_code = ReportTable(env, table, ReportMode::kTableAndSeries);
+  const int exit_code = ReportTable(table, ReportMode::kTableAndSeries);
   std::printf("\n");
   PrintHeadroomTable(table, names, algorithms, static_cast<uint32_t>(workers));
   return exit_code;

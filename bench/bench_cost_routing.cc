@@ -116,7 +116,6 @@ int Main(int argc, char** argv) {
   flags.AddInt64("workers", &workers, "deployment size n");
   flags.AddDouble("zipf", &zipf, "Zipf exponent of the input stream");
   const BenchEnv env = ParseBenchArgs(argc, argv, "", &flags);
-  if (!CheckReportFormat(env, ReportMode::kTable)) return 2;
   const uint64_t messages = env.MessagesOr(500000, 5000000);
   constexpr uint64_t kNumKeys = 10000;
 
@@ -167,7 +166,7 @@ int Main(int argc, char** argv) {
   }
 
   const SweepResultTable table = RunGridForEnv(env, std::move(grid));
-  const int exit_code = ReportTable(env, table, ReportMode::kTable);
+  const int exit_code = ReportTable(table, ReportMode::kTable);
   std::printf("\n");
   PrintCostTable(table, models, algorithms, static_cast<uint32_t>(workers));
   return exit_code;

@@ -165,7 +165,6 @@ int Main(int argc, char** argv) {
   flags.AddInt64("batch-size", &batch_size,
                  "threaded engine: emit batch / task quantum in tuples");
   BenchEnv env = ParseBenchArgs(argc, argv, "", &flags);
-  if (!CheckReportFormat(env, ReportMode::kTableAndSeries)) return 2;
   const auto engine = ParseDspeEngine(engine_name);
   if (!engine.ok()) {
     std::fprintf(stderr, "%s\n", engine.status().ToString().c_str());
@@ -217,7 +216,7 @@ int Main(int argc, char** argv) {
   }
 
   const SweepResultTable table = RunGridForEnv(env, std::move(grid));
-  const int exit_code = ReportTable(env, table, ReportMode::kTableAndSeries);
+  const int exit_code = ReportTable(table, ReportMode::kTableAndSeries);
   std::printf("\n");
   PrintRescaleTable(table, names, schedules, algorithms);
   return exit_code;

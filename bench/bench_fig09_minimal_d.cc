@@ -31,7 +31,6 @@ Result<double> AveragedImbalance(const SweepCellContext& ctx,
   PartitionSimConfig config = ctx.MakeSimConfig();
   config.algorithm = algorithm;
   config.partitioner.fixed_d = fixed_d;
-  if (runs < 1) runs = 1;
   double sum = 0.0;
   for (int64_t r = 0; r < runs; ++r) {
     auto gen = ctx.scenario->make(ctx.grid->seed + static_cast<uint64_t>(r));

@@ -22,16 +22,19 @@ BenchEnv ParseBenchArgs(int argc, char** argv, const std::string& description,
   flags.AddInt64("seed", &env.seed, "master RNG seed");
   flags.AddInt64("runs", &env.runs, "independent runs to average");
   flags.AddInt64("threads", &env.threads, "sweep parallelism (0 = hardware)");
-  flags.AddString("format", &env.format, "summary table format: tsv/csv/json");
   const Status st = flags.Parse(argc, argv);
   if (!st.ok()) {
     std::fprintf(stderr, "%s\n%s", st.ToString().c_str(), flags.Usage().c_str());
     std::exit(2);
   }
   if (flags.help_requested()) std::exit(0);
-  if (env.format != "tsv" && env.format != "csv" && env.format != "json") {
-    std::fprintf(stderr, "bad --format '%s' (want tsv, csv, or json)\n",
-                 env.format.c_str());
+  const char* bad = env.sources < 1    ? "--sources must be >= 1"
+                    : env.runs < 1     ? "--runs must be >= 1"
+                    : env.threads < 0  ? "--threads must be >= 0"
+                    : env.messages < 0 ? "--messages must be >= 0"
+                                       : nullptr;
+  if (bad != nullptr) {
+    std::fprintf(stderr, "%s\n", bad);
     std::exit(2);
   }
   return env;
@@ -80,26 +83,16 @@ std::string Sci(double value) {
   return buf;
 }
 
-namespace {
-
-std::string RenderTable(const SweepResultTable& table,
-                        const std::string& format) {
-  if (format == "csv") return SweepToCsv(table);
-  if (format == "json") return SweepToJson(table);
-  return SweepToTsv(table);
-}
-
-int Report(const BenchEnv& env, const SweepResultTable& table,
-           ReportMode mode) {
+int ReportTable(const SweepResultTable& table, ReportMode mode) {
   switch (mode) {
     case ReportMode::kTable:
-      std::fputs(RenderTable(table, env.format).c_str(), stdout);
+      std::fputs(SweepToTsv(table).c_str(), stdout);
       break;
     case ReportMode::kSeries:
       std::fputs(SweepSeriesToTsv(table).c_str(), stdout);
       break;
     case ReportMode::kTableAndSeries:
-      std::fputs(RenderTable(table, env.format).c_str(), stdout);
+      std::fputs(SweepToTsv(table).c_str(), stdout);
       std::fputs("\n", stdout);
       std::fputs(SweepSeriesToTsv(table).c_str(), stdout);
       break;
@@ -107,10 +100,15 @@ int Report(const BenchEnv& env, const SweepResultTable& table,
       std::fputs(SweepWorkerLoadsToTsv(table).c_str(), stdout);
       break;
   }
+  for (const SweepCellResult& cell : table.cells) {
+    if (cell.status.ok()) continue;
+    std::fprintf(stderr, "%s/%s/%s/%u: %s\n", cell.scenario.c_str(),
+                 cell.variant.empty() ? "-" : cell.variant.c_str(),
+                 AlgorithmKindName(cell.algorithm).c_str(), cell.num_workers,
+                 cell.status.ToString().c_str());
+  }
   return table.num_errors() == 0 ? 0 : 1;
 }
-
-}  // namespace
 
 int RunGridAndReport(const BenchEnv& env, SweepGrid grid, ReportMode mode) {
   std::vector<SweepGrid> grids;
@@ -121,33 +119,12 @@ int RunGridAndReport(const BenchEnv& env, SweepGrid grid, ReportMode mode) {
 SweepResultTable RunGridForEnv(const BenchEnv& env, SweepGrid grid) {
   grid.num_sources = static_cast<uint32_t>(env.sources);
   grid.seed = static_cast<uint64_t>(env.seed);
-  grid.runs = static_cast<uint32_t>(env.runs < 1 ? 1 : env.runs);
+  grid.runs = static_cast<uint32_t>(env.runs);
   return RunSweep(grid, static_cast<size_t>(env.threads));
-}
-
-bool CheckReportFormat(const BenchEnv& env, ReportMode mode) {
-  // The long-format emitters (series / worker-loads) are TSV-only; honor
-  // the flag contract instead of silently ignoring --format.
-  if (mode != ReportMode::kTable && env.format != "tsv") {
-    std::fprintf(stderr,
-                 "--format %s is not supported here: this bench emits a "
-                 "long-format TSV table (only --format tsv)\n",
-                 env.format.c_str());
-    return false;
-  }
-  return true;
-}
-
-int ReportTable(const BenchEnv& env, const SweepResultTable& table,
-                ReportMode mode) {
-  if (!CheckReportFormat(env, mode)) return 2;
-  return Report(env, table, mode);
 }
 
 int RunGridsAndReport(const BenchEnv& env, std::vector<SweepGrid> grids,
                       ReportMode mode) {
-  // Reject the mode/format combination BEFORE sweeping.
-  if (!CheckReportFormat(env, mode)) return 2;
   SweepResultTable table;
   for (SweepGrid& grid : grids) {
     SweepResultTable part = RunGridForEnv(env, std::move(grid));
@@ -155,7 +132,7 @@ int RunGridsAndReport(const BenchEnv& env, std::vector<SweepGrid> grids,
       table.cells.push_back(std::move(cell));
     }
   }
-  return Report(env, table, mode);
+  return ReportTable(table, mode);
 }
 
 }  // namespace slb::bench

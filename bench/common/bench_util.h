@@ -7,11 +7,10 @@
 //   --seed S          master seed
 //   --runs R          independent runs to average (seeds seed, seed+1, ...)
 //   --threads T       sweep parallelism (0 = hardware)
-//   --format F        summary-table format: tsv (default) / csv / json
-// and prints gnuplot-ready tables to stdout with '#' headers (TSV), or the
-// CSV/JSON renderings of the same sweep table. Per-bench extras are
-// registered on a FlagSet passed to ParseBenchArgs so `--help` lists one
-// merged vocabulary. docs/SWEEP_FORMATS.md documents the output schemas.
+// and prints gnuplot-ready TSV tables to stdout with '#' headers. Per-bench
+// extras are registered on a FlagSet passed to ParseBenchArgs so `--help`
+// lists one merged vocabulary. docs/SWEEP_FORMATS.md documents the output
+// schemas.
 
 #pragma once
 
@@ -35,7 +34,6 @@ struct BenchEnv {
   int64_t seed = 42;
   int64_t runs = 1;
   int64_t threads = 0;
-  std::string format = "tsv";  // summary table format: tsv / csv / json
 
   /// Picks the stream length: explicit --messages wins, then paper/quick.
   uint64_t MessagesOr(uint64_t quick_default, uint64_t paper_default) const {
@@ -46,7 +44,9 @@ struct BenchEnv {
 
 /// Parses common flags (plus any extra flags already registered on `extra`).
 /// `defaults` seeds the pre-parse values (e.g. the DSPE benches default to
-/// the paper's 48 sources). Exits the process on bad flags or --help.
+/// the paper's 48 sources). Exits the process on --help, and with status 2
+/// on bad flags or out-of-range values (--sources/--runs < 1,
+/// --threads/--messages < 0).
 BenchEnv ParseBenchArgs(int argc, char** argv, const std::string& description,
                         FlagSet* extra = nullptr, BenchEnv defaults = BenchEnv{});
 
@@ -75,7 +75,7 @@ std::string Sci(double value);
 
 /// Which sweep emitters RunGridAndReport prints (all to stdout).
 enum class ReportMode {
-  kTable,           // SweepToTsv/Csv/Json per --format
+  kTable,           // summary table (SweepToTsv)
   kSeries,          // per-sample long format (SweepSeriesToTsv)
   kTableAndSeries,  // summary table, blank line, then the series table
   kWorkerLoads,     // per-worker head/tail breakdown (SweepWorkerLoadsToTsv)
@@ -83,7 +83,8 @@ enum class ReportMode {
 
 /// Applies the common sweep knobs (--sources/--seed/--runs) to `grid`, runs
 /// it with --threads parallelism, and prints the result per `mode`. Returns
-/// the process exit code: 1 when any cell failed.
+/// the process exit code: 1 when any cell failed (each failure's status is
+/// printed to stderr).
 int RunGridAndReport(const BenchEnv& env, SweepGrid grid,
                      ReportMode mode = ReportMode::kTable);
 
@@ -101,16 +102,9 @@ int RunGridsAndReport(const BenchEnv& env, std::vector<SweepGrid> grids,
 /// before printing it with ReportTable.
 SweepResultTable RunGridForEnv(const BenchEnv& env, SweepGrid grid);
 
-/// The report half: prints `table` per `mode` (honoring --format) and
-/// returns the process exit code — 1 when any cell failed, 2 when the
-/// mode/format combination is unsupported.
-int ReportTable(const BenchEnv& env, const SweepResultTable& table,
-                ReportMode mode);
-
-/// True when `mode` can be rendered under --format; prints the rejection to
-/// stderr otherwise (the long-format emitters are TSV-only). Benches that
-/// sweep with RunGridForEnv and report later must call this BEFORE the
-/// sweep so a bad flag fails fast instead of after minutes of simulation.
-bool CheckReportFormat(const BenchEnv& env, ReportMode mode);
+/// The report half: prints `table` per `mode` and returns the process exit
+/// code — 1 when any cell failed, after printing each failed cell's
+/// coordinates and status to stderr.
+int ReportTable(const SweepResultTable& table, ReportMode mode);
 
 }  // namespace slb::bench

@@ -89,12 +89,9 @@ Result<CellPayload> RunCell(const DspeCellOptions& options,
       .Input("sources", grouping);
 
   // Live elastic rescale: the variant's schedule (the sweep axis in
-  // bench_elastic_rescale) wins over the grid default, mirroring how the
-  // simulator's RunDefault() resolves it.
+  // bench_elastic_rescale), as in the simulator's RunDefault().
   TopologyRuntimeOptions runtime = options.runtime;
-  const RescaleSchedule& schedule = !ctx.variant->rescale.empty()
-                                        ? ctx.variant->rescale
-                                        : ctx.grid->rescale;
+  const RescaleSchedule& schedule = ctx.variant->rescale;
   if (!schedule.empty()) {
     if (!threaded) {
       return Status::InvalidArgument("live rescale needs the threaded engine");

@@ -58,6 +58,33 @@ if [ "$count" -eq 0 ]; then
   exit 2
 fi
 
+# Common-flag validation: an out-of-range --sources/--runs/--threads must be
+# rejected up front with exit 2, not cast into a huge sender count or
+# averaged into NaN rows.
+flag_failures=0
+flag_bin="$BUILD_DIR/bench/bench_fig10_imbalance_zipf"
+if [ -x "$flag_bin" ]; then
+  for bad_flag in "--sources 0" "--runs 0" "--threads -1"; do
+    # shellcheck disable=SC2086  # split "--flag value" into two words
+    if "$flag_bin" --messages 1000 $bad_flag > /dev/null 2>&1; then
+      rc=0
+    else
+      rc=$?
+    fi
+    if [ "$rc" -ne 2 ]; then
+      echo "FAIL  bench_fig10_imbalance_zipf $bad_flag: exit $rc (want 2)" >&2
+      flag_failures=$((flag_failures + 1))
+    fi
+  done
+  if [ "$flag_failures" -eq 0 ]; then
+    echo "OK    common-flag validation (bad --sources/--runs/--threads exit 2)"
+  fi
+else
+  echo "FAIL  bench_fig10_imbalance_zipf missing from the build;" \
+       "flag-validation guard cannot run" >&2
+  flag_failures=1
+fi
+
 # The adversarial-headroom bench must cover the full calibrated scenario
 # list even at the tiny smoke budget: its derived headroom table (the lines
 # after the "# headroom:" marker) needs one row per (scenario, algorithm)
@@ -376,6 +403,9 @@ fi
 
 echo "---"
 echo "$((count - failures))/$count bench binaries passed"
+if [ "$flag_failures" -gt 0 ]; then
+  echo "common-flag validation FAILED ($flag_failures problems)" >&2
+fi
 if [ "$headroom_failures" -gt 0 ]; then
   echo "headroom coverage check FAILED ($headroom_failures problems)" >&2
 fi
@@ -397,4 +427,4 @@ fi
 if [ "$micro_runtime_failures" -gt 0 ]; then
   echo "runtime micro-bench guard FAILED ($micro_runtime_failures problems)" >&2
 fi
-exit "$(((failures + headroom_failures + threaded_failures + rescale_failures + threaded_rescale_failures + cost_failures + e2e_failures + micro_runtime_failures) > 0 ? 1 : 0))"
+exit "$(((failures + flag_failures + headroom_failures + threaded_failures + rescale_failures + threaded_rescale_failures + cost_failures + e2e_failures + micro_runtime_failures) > 0 ? 1 : 0))"

@@ -41,13 +41,11 @@ std::unique_ptr<FrequencyEstimator> HeadTailPartitioner::MakeSketch(
     case SketchKind::kDecayingSpaceSaving: {
       // One half-life per ~4/theta messages: long enough that a stable
       // head key keeps a decisive count, short enough to forget yesterday's
-      // hot keys within a few head-turnover periods. decay_half_life
-      // overrides; decay_auto_tune lets the sketch walk away from the
-      // starting point when the observed head churn disagrees with it.
-      const auto derived =
+      // hot keys within a few head-turnover periods. decay_auto_tune lets
+      // the sketch walk away from this starting point when the observed
+      // head churn disagrees with it.
+      const auto half_life =
           static_cast<uint64_t>(std::max(1024.0, std::ceil(4.0 / theta)));
-      const uint64_t half_life =
-          options.decay_half_life > 0 ? options.decay_half_life : derived;
       DecayingSpaceSaving::AutoTune tune;
       if (options.decay_auto_tune) {
         tune.enabled = true;

@@ -43,8 +43,9 @@ inline constexpr AlgorithmKind kAllAlgorithmKinds[] = {
     AlgorithmKind::kConsistentHash,
 };
 
-/// Parses "kg", "sg", "pkg", "dc"/"d-c", "wc"/"w-c", "rr", "ch"
-/// (case-insensitive).
+/// Parses "kg", "sg", "pkg", "dc"/"d-c", "wc"/"w-c", "rr",
+/// "fixed"/"fixedd"/"fixed-d", "greedyd"/"greedy-d", "ch" and the long
+/// aliases ("shuffle", "consistent-hash", ...), case-insensitively.
 Result<AlgorithmKind> ParseAlgorithmKind(const std::string& text);
 std::string AlgorithmKindName(AlgorithmKind kind);
 
@@ -100,17 +101,14 @@ struct PartitionerOptions {
 
   SketchKind sketch = SketchKind::kSpaceSaving;
 
-  /// kDecayingSpaceSaving only: fixed decay half-life in messages
-  /// (0 = derive from theta: max(1024, 4/theta), the calibrated default).
-  uint64_t decay_half_life = 0;
-
-  /// kDecayingSpaceSaving only: adapt the half-life online. At each decay
-  /// boundary the sketch halves the half-life when its top-k head churned
-  /// since the previous boundary and doubles it when the head was stable,
-  /// within [max(256, half_life/16), max(half_life*16, 2^22)] — the ceiling
-  /// reaches "effectively no decay" so a stable head converges to plain
-  /// SpaceSaving behaviour. Deterministic (no RNG), so seeded experiments
-  /// remain reproducible.
+  /// kDecayingSpaceSaving only. The half-life is max(1024, ceil(4/theta))
+  /// messages; with auto-tune it only starts there and adapts online. At
+  /// each decay boundary the sketch halves the half-life when its top-k
+  /// head churned since the previous boundary and doubles it when the head
+  /// was stable, within [max(256, half_life/16), max(half_life*16, 2^22)] —
+  /// the ceiling reaches "effectively no decay" so a stable head converges
+  /// to plain SpaceSaving behaviour. Deterministic (no RNG), so seeded
+  /// experiments remain reproducible.
   bool decay_auto_tune = false;
 
   /// Messages between FINDOPTIMALCHOICES refreshes in D-Choices. The paper's

@@ -35,40 +35,6 @@ std::string StatusField(const Status& status) {
   return std::string(StatusCodeToString(status.code()));
 }
 
-std::string CsvEscape(const std::string& field) {
-  if (field.find_first_of(",\"\n") == std::string::npos) return field;
-  std::string out = "\"";
-  for (char c : field) {
-    if (c == '"') out += '"';
-    out += c;
-  }
-  out += '"';
-  return out;
-}
-
-std::string JsonEscape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size() + 2);
-  for (char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 constexpr const char* kFixedColumns[] = {
     "scenario",       "variant",        "algo",
     "workers",        "seed",           "runs",
@@ -127,10 +93,10 @@ PayloadColumns ScanPayloadColumns(const SweepResultTable& table) {
   return columns;
 }
 
-void AppendHeader(std::string* out, const PayloadColumns& columns, char sep) {
+void AppendHeader(std::string* out, const PayloadColumns& columns) {
   bool first = true;
   auto name = [&](const char* text) {
-    if (!first) *out += sep;
+    if (!first) *out += '\t';
     first = false;
     *out += text;
   };
@@ -155,14 +121,14 @@ void AppendHeader(std::string* out, const PayloadColumns& columns, char sep) {
 }
 
 void AppendRow(std::string* out, const SweepCellResult& cell,
-               const PayloadColumns& columns, char sep, bool csv) {
+               const PayloadColumns& columns) {
   auto field = [&](const std::string& text) {
-    *out += csv ? CsvEscape(text) : text;
-    *out += sep;
+    *out += text;
+    *out += '\t';
   };
   const CellPayload& payload = cell.payload;
   field(cell.scenario);
-  field(cell.variant.empty() && !csv ? "-" : cell.variant);
+  field(cell.variant.empty() ? "-" : cell.variant);
   field(AlgorithmKindName(cell.algorithm));
   field(Count(cell.num_workers));
   field(Count(cell.seed));
@@ -178,7 +144,7 @@ void AppendRow(std::string* out, const SweepCellResult& cell,
   if (columns.memory) {
     static const MemoryModelTable kNoMemory;
     const MemoryModelTable& mem = payload.memory.value_or(kNoMemory);
-    field(mem.baseline.empty() && !csv ? "-" : mem.baseline);
+    field(mem.baseline.empty() ? "-" : mem.baseline);
     field(Count(mem.baseline_entries));
     field(Count(mem.estimated_entries));
     field(Num(mem.estimated_overhead_pct));
@@ -231,113 +197,10 @@ void AppendRow(std::string* out, const SweepCellResult& cell,
 std::string SweepToTsv(const SweepResultTable& table) {
   const PayloadColumns columns = ScanPayloadColumns(table);
   std::string out = "#";
-  AppendHeader(&out, columns, '\t');
+  AppendHeader(&out, columns);
   for (const SweepCellResult& cell : table.cells) {
-    AppendRow(&out, cell, columns, '\t', /*csv=*/false);
+    AppendRow(&out, cell, columns);
   }
-  return out;
-}
-
-std::string SweepToCsv(const SweepResultTable& table) {
-  const PayloadColumns columns = ScanPayloadColumns(table);
-  std::string out;
-  AppendHeader(&out, columns, ',');
-  for (const SweepCellResult& cell : table.cells) {
-    AppendRow(&out, cell, columns, ',', /*csv=*/true);
-  }
-  return out;
-}
-
-std::string SweepToJson(const SweepResultTable& table) {
-  std::string out = "[\n";
-  for (size_t i = 0; i < table.cells.size(); ++i) {
-    const SweepCellResult& cell = table.cells[i];
-    const CellPayload& payload = cell.payload;
-    out += "  {\"scenario\":\"" + JsonEscape(cell.scenario) + "\"";
-    out += ",\"variant\":\"" + JsonEscape(cell.variant) + "\"";
-    out += ",\"algo\":\"" + JsonEscape(AlgorithmKindName(cell.algorithm)) + "\"";
-    out += ",\"workers\":" + Count(cell.num_workers);
-    out += ",\"seed\":" + Count(cell.seed);
-    out += ",\"runs\":" + Count(cell.runs);
-    out += ",\"status\":\"" + JsonEscape(StatusField(cell.status)) + "\"";
-    if (!cell.status.ok()) {
-      out += ",\"error\":\"" + JsonEscape(cell.status.message()) + "\"";
-    }
-    out += ",\"final_imbalance\":" + Num(cell.mean_final_imbalance);
-    out += ",\"avg_imbalance\":" + Num(cell.mean_avg_imbalance);
-    out += ",\"max_imbalance\":" + Num(cell.mean_max_imbalance);
-    out += ",\"memory_entries\":" + Count(payload.sim.memory_entries);
-    out += ",\"head_choices\":" + Count(payload.sim.final_head_choices);
-    out += ",\"head_messages\":" + Count(payload.sim.head_messages);
-    out += ",\"total_messages\":" + Count(payload.sim.total_messages);
-    if (payload.memory.has_value()) {
-      const MemoryModelTable& mem = *payload.memory;
-      out += ",\"memory\":{\"baseline\":\"" + JsonEscape(mem.baseline) + "\"";
-      out += ",\"baseline_entries\":" + Count(mem.baseline_entries);
-      out += ",\"estimated_entries\":" + Count(mem.estimated_entries);
-      out += ",\"measured_entries\":" + Count(mem.measured_entries);
-      out += ",\"estimated_overhead_pct\":" + Num(mem.estimated_overhead_pct);
-      out += ",\"measured_overhead_pct\":" + Num(mem.measured_overhead_pct);
-      out += "}";
-    }
-    if (payload.latency.has_value()) {
-      const LatencySnapshot& lat = *payload.latency;
-      out += ",\"latency\":{\"count\":" + Count(static_cast<uint64_t>(lat.count));
-      out += ",\"avg_ms\":" + Num(lat.avg_ms);
-      out += ",\"p50_ms\":" + Num(lat.p50_ms);
-      out += ",\"p95_ms\":" + Num(lat.p95_ms);
-      out += ",\"p99_ms\":" + Num(lat.p99_ms);
-      out += ",\"max_ms\":" + Num(lat.max_ms);
-      out += "}";
-    }
-    if (payload.throughput.has_value()) {
-      const ThroughputCounters& thr = *payload.throughput;
-      out += ",\"throughput\":{\"per_s\":" + Num(thr.throughput_per_s);
-      out += ",\"makespan_s\":" + Num(thr.makespan_s);
-      out += ",\"completed\":" + Count(thr.completed);
-      out += "}";
-    }
-    if (payload.migration.has_value()) {
-      const MigrationCounters& mig = *payload.migration;
-      out += ",\"migration\":{\"final_workers\":" + Count(mig.final_num_workers);
-      out += ",\"rescale_events\":" + Count(mig.rescale_events);
-      out += ",\"keys_migrated\":" + Count(mig.keys_migrated);
-      out += ",\"state_bytes_migrated\":" + Count(mig.state_bytes_migrated);
-      out += ",\"stalled_messages\":" + Count(mig.stalled_messages);
-      out += ",\"moved_key_fraction\":" + Num(mig.moved_key_fraction);
-      out += "}";
-    }
-    if (payload.cost.has_value()) {
-      const CostCounters& cost = *payload.cost;
-      out += ",\"cost\":{\"cost_imbalance\":";
-      out += Num(cost.cost_imbalance);
-      out += ",\"count_imbalance\":" + Num(cost.count_imbalance);
-      out += ",\"misrank_rate\":" + Num(cost.misrank_rate);
-      out += ",\"peak_outstanding\":" + Num(cost.peak_outstanding);
-      out += ",\"total_cost\":" + Num(cost.total_cost);
-      out += "}";
-    }
-    if (!payload.metrics.empty()) {
-      out += ",\"metrics\":{";
-      for (size_t mi = 0; mi < payload.metrics.size(); ++mi) {
-        if (mi > 0) out += ',';
-        out += '"';
-        out += JsonEscape(payload.metrics[mi].name);
-        out += "\":";
-        out += MetricValue(payload.metrics[mi]);
-      }
-      out += "}";
-    }
-    out += ",\"imbalance_series\":[";
-    for (size_t s = 0; s < payload.sim.imbalance_series.size(); ++s) {
-      if (s > 0) out += ',';
-      out += Num(payload.sim.imbalance_series[s]);
-    }
-    out += "]}";
-    if (i + 1 < table.cells.size()) out += ',';
-    out += '\n';
-  }
-  out += "]\n";
   return out;
 }
 

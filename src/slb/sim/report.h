@@ -27,15 +27,6 @@ namespace slb {
 /// followed by the table's payload columns.
 std::string SweepToTsv(const SweepResultTable& table);
 
-/// Same rows as CSV with a header line; fields containing commas, quotes, or
-/// newlines are double-quoted (RFC 4180).
-std::string SweepToCsv(const SweepResultTable& table);
-
-/// JSON array of cell objects, including the sampled imbalance series and,
-/// when present, the payload components as nested objects
-/// ("memory"/"latency"/"throughput"/"metrics").
-std::string SweepToJson(const SweepResultTable& table);
-
 /// Long-format series TSV: one row per (cell, sample) — the Fig. 12 shape.
 /// Failed cells contribute no rows.
 std::string SweepSeriesToTsv(const SweepResultTable& table);

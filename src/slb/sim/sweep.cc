@@ -119,9 +119,8 @@ PartitionSimConfig SweepCellContext::MakeSimConfig() const {
       scenario->num_samples > 0 ? scenario->num_samples : grid->num_samples;
   config.track_memory = grid->track_memory;
   config.oracle_head_size = grid->oracle_head_size;
-  config.rescale = variant->rescale.empty() ? grid->rescale : variant->rescale;
-  config.service =
-      variant->service.enabled() ? variant->service : grid->service;
+  config.rescale = variant->rescale;
+  config.service = variant->service;
   return config;
 }
 

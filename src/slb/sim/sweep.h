@@ -70,12 +70,14 @@ struct SweepVariant {
   /// Source-count override for this variant (0 = grid default). Makes the
   /// deployment's source count sweepable (the sender-local-state ablation).
   uint32_t num_sources = 0;
-  /// Rescale-schedule override for this variant (empty = grid default).
-  /// Makes the elastic schedule itself a sweep axis (bench_elastic_rescale).
+  /// Elastic rescale schedule of this variant's cells (empty = static).
+  /// Makes the schedule a sweep axis (bench_elastic_rescale); non-empty
+  /// schedules make RunDefault() attach MigrationCounters.
   RescaleSchedule rescale;
-  /// Service-model override for this variant (disabled = grid default).
-  /// Makes the cost model / completion rate a sweep axis
-  /// (bench_cost_routing pairs it with options.balance_on).
+  /// Heterogeneous service model of this variant's cells (disabled = unit
+  /// cost). Makes the cost model / completion rate a sweep axis
+  /// (bench_cost_routing pairs it with options.balance_on); enabled configs
+  /// make RunDefault() attach CostCounters.
   ServiceConfig service;
 };
 
@@ -187,7 +189,8 @@ struct SweepCellContext {
   uint32_t run = 0;
 
   /// The fully-resolved simulator configuration for this cell (variant
-  /// options + per-cell worker count + grid-level knobs).
+  /// options, schedule and service + per-cell worker count + grid-level
+  /// knobs).
   PartitionSimConfig MakeSimConfig() const;
   /// Builds the scenario's generator for this run's seed.
   Result<std::unique_ptr<StreamGenerator>> MakeStream() const;
@@ -218,14 +221,6 @@ struct SweepGrid {
   /// the simulator classifies key < oracle_head_size as head traffic instead
   /// of trusting the partitioner's own (possibly head-oblivious) flag.
   uint64_t oracle_head_size = 0;
-
-  /// Elastic rescale schedule applied to every cell (variants may override).
-  /// Non-empty schedules make RunDefault() attach MigrationCounters.
-  RescaleSchedule rescale;
-
-  /// Heterogeneous service model applied to every cell (variants may
-  /// override). Enabled configs make RunDefault() attach CostCounters.
-  ServiceConfig service;
 
   /// Custom per-cell experiment; empty = SweepCellContext::RunDefault().
   SweepCellRunner runner;

@@ -17,9 +17,9 @@
 // a deterministic function of the update sequence, so seeded experiments
 // stay reproducible (golden tests in tests/sketch/decaying_test.cc).
 //
-// Used via SketchKind::kDecayingSpaceSaving in PartitionerOptions
-// (decay_half_life / decay_auto_tune knobs); the sketch-ablation and
-// adversarial-headroom benches quantify the effect on dynamic workloads.
+// Used via SketchKind::kDecayingSpaceSaving in PartitionerOptions (the
+// decay_auto_tune knob); the sketch-ablation and adversarial-headroom
+// benches quantify the effect on dynamic workloads.
 
 #pragma once
 

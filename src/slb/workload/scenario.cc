@@ -110,37 +110,6 @@ void HotSetChurnStreamGenerator::Reset() {
   rng_.Seed(options_.seed);
 }
 
-// --- multi-tenant ---------------------------------------------------------
-
-MultiTenantStreamGenerator::MultiTenantStreamGenerator(
-    const ScenarioOptions& options)
-    : options_(options), rng_(options.seed) {
-  SLB_CHECK(!options_.tenant_exponents.empty());
-  SLB_CHECK(options_.num_keys >= options_.tenant_exponents.size());
-  SLB_CHECK(options_.num_messages >= 1);
-  keys_per_tenant_ = options_.num_keys / options_.tenant_exponents.size();
-  tenants_.reserve(options_.tenant_exponents.size());
-  for (double z : options_.tenant_exponents) {
-    SLB_CHECK(z >= 0.0);
-    tenants_.emplace_back(z, keys_per_tenant_);
-  }
-}
-
-uint64_t MultiTenantStreamGenerator::num_keys() const {
-  return keys_per_tenant_ * tenants_.size();
-}
-
-uint64_t MultiTenantStreamGenerator::NextKey() {
-  const uint64_t tenant = position_ % tenants_.size();
-  ++position_;
-  return tenant * keys_per_tenant_ + tenants_[tenant].Sample(&rng_);
-}
-
-void MultiTenantStreamGenerator::Reset() {
-  position_ = 0;
-  rng_.Seed(options_.seed);
-}
-
 // --- single-key-ramp ------------------------------------------------------
 
 SingleKeyRampStreamGenerator::SingleKeyRampStreamGenerator(
@@ -470,10 +439,9 @@ void ReplayWithNoiseStreamGenerator::Reset() {
 
 std::vector<std::string> ScenarioNames() {
   return {"zipf",          "drift",           "flash-crowd",
-          "hot-set-churn", "multi-tenant",    "single-key-ramp",
-          "correlated-burst", "diurnal",      "key-space-growth",
-          "replay-with-noise", "scale-out-under-flash-crowd",
-          "scale-in-during-drift"};
+          "hot-set-churn", "single-key-ramp", "correlated-burst",
+          "diurnal",       "key-space-growth", "replay-with-noise",
+          "scale-out-under-flash-crowd", "scale-in-during-drift"};
 }
 
 Result<std::unique_ptr<StreamGenerator>> MakeScenario(
@@ -521,20 +489,6 @@ Result<std::unique_ptr<StreamGenerator>> MakeScenario(
       return Status::InvalidArgument("hot-set-churn needs num_epochs >= 1");
     }
     return {std::make_unique<HotSetChurnStreamGenerator>(options)};
-  }
-  if (name == "multi-tenant") {
-    if (options.tenant_exponents.empty()) {
-      return Status::InvalidArgument("multi-tenant needs >= 1 tenant");
-    }
-    if (options.num_keys < options.tenant_exponents.size()) {
-      return Status::InvalidArgument("multi-tenant needs num_keys >= tenants");
-    }
-    for (double z : options.tenant_exponents) {
-      if (z < 0.0) {
-        return Status::InvalidArgument("tenant exponents must be >= 0");
-      }
-    }
-    return {std::make_unique<MultiTenantStreamGenerator>(options)};
   }
   if (name == "single-key-ramp") {
     if (!IsFraction(options.ramp_final_fraction)) {

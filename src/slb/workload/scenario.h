@@ -3,18 +3,16 @@
 // The paper's evaluation sticks to static Zipf streams plus the mild CT
 // concept drift; the failure modes that matter at scale (AutoFlow,
 // arXiv:2103.08888; PKG, arXiv:1510.07623) come from *dynamics*: keys that
-// were cold suddenly dominating, hot sets migrating faster than sketches
-// decay, and tenants with wildly different skews sharing one stream. Each
-// generator here is a fully-seeded, Reset()-able StreamGenerator that
-// stresses one such failure mode, and every one is reachable by name through
-// MakeScenario() so sweeps and tools can enumerate the whole catalog.
+// were cold suddenly dominating, and hot sets migrating faster than sketches
+// decay. Each generator here is a fully-seeded, Reset()-able StreamGenerator
+// that stresses one such failure mode, and every one is reachable by name
+// through MakeScenario() so sweeps and tools can enumerate the whole catalog.
 //
 //   Name              Stresses
 //   zipf              baseline static skew (SyntheticStreamGenerator)
 //   drift             slow identity churn (the CT model)
 //   flash-crowd       a cold key spikes to p% of traffic for a window
 //   hot-set-churn     the hot set rotates wholesale every epoch
-//   multi-tenant      interleaved Zipf streams with distinct exponents
 //   single-key-ramp   one key ramps linearly from ~0 to p% of traffic
 //   correlated-burst  a GROUP of cold keys ignites together for a window
 //   diurnal           sinusoidal intensity curves over tenant-like key bands
@@ -71,11 +69,6 @@ struct ScenarioOptions {
   /// Epochs for hot-set-churn / drift; the hot set rotates to a fresh,
   /// disjoint window of the key space at every boundary.
   uint64_t num_epochs = 10;
-
-  // --- multi-tenant ------------------------------------------------------
-  /// One Zipf exponent per tenant; tenants own disjoint key ranges and are
-  /// interleaved round-robin (message i belongs to tenant i % T).
-  std::vector<double> tenant_exponents = {0.6, 1.1, 1.6};
 
   // --- single-key-ramp ---------------------------------------------------
   /// Traffic share of the ramping key at the very end of the stream.
@@ -176,31 +169,6 @@ class HotSetChurnStreamGenerator final : public StreamGenerator {
   uint64_t position_ = 0;
   uint64_t epoch_ = 0;
   uint64_t epoch_length_;
-};
-
-/// Multi-tenant mixture: T tenants with distinct Zipf exponents own disjoint
-/// key ranges of floor(K / T) keys each; message i belongs to tenant i % T.
-/// Stresses head tracking with several unrelated skew regimes in one stream.
-class MultiTenantStreamGenerator final : public StreamGenerator {
- public:
-  explicit MultiTenantStreamGenerator(const ScenarioOptions& options);
-
-  uint64_t NextKey() override;
-  void Reset() override;
-  uint64_t num_messages() const override { return options_.num_messages; }
-  /// Keys actually reachable: floor(K / T) * T.
-  uint64_t num_keys() const override;
-  std::string name() const override { return "multi-tenant"; }
-
-  uint64_t num_tenants() const { return tenants_.size(); }
-  uint64_t keys_per_tenant() const { return keys_per_tenant_; }
-
- private:
-  ScenarioOptions options_;
-  std::vector<ZipfDistribution> tenants_;
-  Rng rng_;
-  uint64_t position_ = 0;
-  uint64_t keys_per_tenant_;
 };
 
 /// Adversarial ramp: the coldest key's traffic share grows linearly from 0
@@ -432,8 +400,8 @@ class ScaleInDriftStreamGenerator final : public StreamGenerator {
 std::vector<std::string> ScenarioNames();
 
 /// Builds a catalog scenario by name ("zipf", "drift", "flash-crowd",
-/// "hot-set-churn", "multi-tenant", "single-key-ramp", "correlated-burst",
-/// "diurnal", "key-space-growth", "replay-with-noise",
+/// "hot-set-churn", "single-key-ramp", "correlated-burst", "diurnal",
+/// "key-space-growth", "replay-with-noise",
 /// "scale-out-under-flash-crowd", "scale-in-during-drift"). Returns
 /// InvalidArgument for unknown names or out-of-range knobs.
 Result<std::unique_ptr<StreamGenerator>> MakeScenario(

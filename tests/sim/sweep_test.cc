@@ -73,8 +73,6 @@ TEST(SweepDeterminismTest, SerialAndParallelTablesAreByteIdentical) {
   const SweepResultTable parallel = RunSweep(grid, 8);
   ASSERT_EQ(serial.cells.size(), parallel.cells.size());
   EXPECT_EQ(SweepToTsv(serial), SweepToTsv(parallel));
-  EXPECT_EQ(SweepToCsv(serial), SweepToCsv(parallel));
-  EXPECT_EQ(SweepToJson(serial), SweepToJson(parallel));
   EXPECT_EQ(SweepSeriesToTsv(serial), SweepSeriesToTsv(parallel));
   // Belt and braces beyond the renderers: the full numeric payloads.
   for (size_t i = 0; i < serial.cells.size(); ++i) {
@@ -133,8 +131,10 @@ TEST(SweepEdgeCaseTest, EmptyGridProducesEmptyTable) {
   EXPECT_TRUE(table.cells.empty());
   EXPECT_EQ(table.num_errors(), 0u);
   // Renderers degrade to header-only output.
-  EXPECT_EQ(SweepToCsv(table).find('\n'), SweepToCsv(table).size() - 1);
-  EXPECT_EQ(SweepToJson(table), "[\n]\n");
+  const std::string tsv = SweepToTsv(table);
+  EXPECT_EQ(tsv.find('\n'), tsv.size() - 1);
+  EXPECT_EQ(SweepSeriesToTsv(table).find('\n'),
+            SweepSeriesToTsv(table).size() - 1);
 }
 
 TEST(SweepEdgeCaseTest, SingleCellGrid) {
@@ -177,11 +177,12 @@ TEST(SweepEdgeCaseTest, ErrorCellsAreIsolated) {
   EXPECT_TRUE(good.status.ok()) << good.status.ToString();
   EXPECT_EQ(good.payload.sim.total_messages, 20000u);
 
-  // The error shows up in every rendering without breaking the format.
-  const std::string csv = SweepToCsv(table);
-  EXPECT_NE(csv.find("InvalidArgument"), std::string::npos);
-  const std::string json = SweepToJson(table);
-  EXPECT_NE(json.find("\"error\":"), std::string::npos);
+  // The error shows up in the failed cell's TSV row.
+  const std::string tsv = SweepToTsv(table);
+  const size_t bad_row = tsv.find('\n') + 1;
+  const std::string row = tsv.substr(bad_row, tsv.find('\n', bad_row) - bad_row);
+  EXPECT_EQ(row.rfind("zipf\t-\tPKG\t0\t", 0), 0u) << row;
+  EXPECT_NE(row.find("\tInvalidArgument\t"), std::string::npos) << row;
   // Failed cells contribute no series rows.
   const std::string series = SweepSeriesToTsv(table);
   EXPECT_EQ(series.find("\t0\t"), std::string::npos);
@@ -229,19 +230,6 @@ TEST(SweepScenarioTest, DatasetScenarioUsesCellSeed) {
   }
   EXPECT_EQ(same_ab, 1000);
   EXPECT_LT(same_ac, 800);
-}
-
-TEST(SweepReportTest, CsvEscapesAndJsonIsWellFormedOnErrors) {
-  SweepResultTable table;
-  SweepCellResult cell;
-  cell.scenario = "weird,\"label\"";
-  cell.variant = "v\n1";
-  cell.status = Status::InvalidArgument("quote \" and\nnewline");
-  table.cells.push_back(cell);
-  const std::string csv = SweepToCsv(table);
-  EXPECT_NE(csv.find("\"weird,\"\"label\"\"\""), std::string::npos);
-  const std::string json = SweepToJson(table);
-  EXPECT_NE(json.find("quote \\\" and\\nnewline"), std::string::npos);
 }
 
 }  // namespace

@@ -212,12 +212,14 @@ TEST(AutoTuneTest, ResetRoundTripsTheWholeTuningState) {
   EXPECT_EQ(dss.total(), total);
 }
 
+// The partitioner derives the half-life from theta, max(1024, ceil(4/theta)),
+// and hands the auto-tune clamps derived from it to the sketch.
 TEST(AutoTuneTest, PartitionerPlumbsDecayKnobs) {
   PartitionerOptions options;
   options.num_workers = 20;
   options.hash_seed = 5;
+  options.theta_ratio = 0.01;  // theta = 1/2000 => 4/theta = 8000
   options.sketch = SketchKind::kDecayingSpaceSaving;
-  options.decay_half_life = 5000;
   options.decay_auto_tune = true;
   auto dc = CreatePartitioner(AlgorithmKind::kDChoices, options);
   ASSERT_TRUE(dc.ok());
@@ -226,21 +228,22 @@ TEST(AutoTuneTest, PartitionerPlumbsDecayKnobs) {
   const auto* sketch =
       dynamic_cast<const DecayingSpaceSaving*>(&head_tail->sketch());
   ASSERT_NE(sketch, nullptr);
-  EXPECT_EQ(sketch->initial_half_life(), 5000u);
+  EXPECT_EQ(sketch->initial_half_life(), 8000u);
   EXPECT_TRUE(sketch->auto_tune().enabled);
-  EXPECT_EQ(sketch->auto_tune().min_half_life, 5000u / 16);
+  EXPECT_EQ(sketch->auto_tune().min_half_life, 8000u / 16);
   // The ceiling reaches "effectively no decay" (>= 2^22), not 16x the start.
   EXPECT_EQ(sketch->auto_tune().max_half_life, uint64_t{1} << 22);
 
   options.decay_auto_tune = false;
-  options.decay_half_life = 0;  // derive from theta as before
+  options.theta_ratio = 0.2;  // 4/theta = 400, below the 1024 floor
   auto fixed = CreatePartitioner(AlgorithmKind::kDChoices, options);
   ASSERT_TRUE(fixed.ok());
   const auto* fixed_sketch = dynamic_cast<const DecayingSpaceSaving*>(
       &dynamic_cast<HeadTailPartitioner*>(fixed.value().get())->sketch());
   ASSERT_NE(fixed_sketch, nullptr);
   EXPECT_FALSE(fixed_sketch->auto_tune().enabled);
-  EXPECT_GE(fixed_sketch->half_life(), 1024u);
+  EXPECT_EQ(fixed_sketch->initial_half_life(), 1024u);
+  EXPECT_EQ(fixed_sketch->half_life(), 1024u);
 }
 
 TEST(AutoTuneTest, AutoTunedDChoicesSurvivesRotatingHotSet) {

@@ -129,20 +129,6 @@ void HotSetChurnShape(const std::vector<uint64_t>& keys,
   EXPECT_EQ(hottest.size(), opt.num_epochs);
 }
 
-// --- multi-tenant: message i stays in tenant (i % T)'s key range -----------
-void MultiTenantShape(const std::vector<uint64_t>& keys,
-                      const ScenarioOptions& opt, const StreamGenerator&) {
-  const uint64_t tenants = opt.tenant_exponents.size();
-  const uint64_t keys_per_tenant = opt.num_keys / tenants;
-  size_t violations = 0;
-  for (size_t i = 0; i < keys.size(); ++i) {
-    const uint64_t tenant = i % tenants;
-    violations += keys[i] < tenant * keys_per_tenant ||
-                  keys[i] >= (tenant + 1) * keys_per_tenant;
-  }
-  EXPECT_EQ(violations, 0u);
-}
-
 // --- single-key-ramp: silent linear growth to the final share --------------
 void SingleKeyRampShape(const std::vector<uint64_t>& keys,
                         const ScenarioOptions& opt, const StreamGenerator&) {
@@ -350,7 +336,6 @@ constexpr HarnessEntry kRegistry[] = {
     {"drift", nullptr, DriftShape},
     {"flash-crowd", nullptr, FlashCrowdShape},
     {"hot-set-churn", nullptr, HotSetChurnShape},
-    {"multi-tenant", nullptr, MultiTenantShape},
     {"single-key-ramp", nullptr, SingleKeyRampShape},
     {"correlated-burst", nullptr, CorrelatedBurstShape},
     {"diurnal", nullptr, DiurnalShape},

@@ -101,14 +101,6 @@ TEST(ScenarioFactoryTest, OutOfRangeKnobsAreInvalidArgument) {
   EXPECT_TRUE(MakeScenario("hot-set-churn", opt).status().IsInvalidArgument());
 
   opt = BaseOptions();
-  opt.tenant_exponents.clear();
-  EXPECT_TRUE(MakeScenario("multi-tenant", opt).status().IsInvalidArgument());
-
-  opt = BaseOptions();
-  opt.tenant_exponents = {1.0, -0.5};
-  EXPECT_TRUE(MakeScenario("multi-tenant", opt).status().IsInvalidArgument());
-
-  opt = BaseOptions();
   opt.ramp_final_fraction = -0.1;
   EXPECT_TRUE(
       MakeScenario("single-key-ramp", opt).status().IsInvalidArgument());
@@ -278,13 +270,6 @@ TEST(ScenarioGoldenTest, HotSetChurnSeed7) {
   for (uint64_t k : expected) EXPECT_EQ(gen.NextKey(), k);
 }
 
-TEST(ScenarioGoldenTest, MultiTenantSeed7) {
-  MultiTenantStreamGenerator gen(BaseOptions());
-  const uint64_t expected[] = {233, 340, 680, 20, 467, 666,
-                               36,  333, 666, 52, 390, 667};
-  for (uint64_t k : expected) EXPECT_EQ(gen.NextKey(), k);
-}
-
 TEST(ScenarioGoldenTest, SingleKeyRampSeed7) {
   SingleKeyRampStreamGenerator gen(BaseOptions());
   const uint64_t expected[] = {0, 75, 103, 2, 21, 0, 133, 4, 128, 175, 0, 30};
@@ -383,33 +368,6 @@ TEST(HotSetChurnTest, HotSetActuallyRotates) {
   const std::set<uint64_t> distinct(hottest_per_epoch.begin(),
                                     hottest_per_epoch.end());
   EXPECT_EQ(distinct.size(), hottest_per_epoch.size());
-}
-
-TEST(MultiTenantTest, RoundRobinInterleaveOwnsDisjointRanges) {
-  MultiTenantStreamGenerator gen(BaseOptions());  // 3 tenants x 333 keys
-  ASSERT_EQ(gen.num_tenants(), 3u);
-  ASSERT_EQ(gen.keys_per_tenant(), 333u);
-  EXPECT_EQ(gen.num_keys(), 999u);
-  for (uint64_t i = 0; i < 9000; ++i) {
-    const uint64_t tenant = i % 3;
-    const uint64_t k = gen.NextKey();
-    EXPECT_GE(k, tenant * 333) << "message " << i;
-    EXPECT_LT(k, (tenant + 1) * 333) << "message " << i;
-  }
-}
-
-TEST(MultiTenantTest, SkewOrderingFollowsExponents) {
-  // Default exponents {0.6, 1.1, 1.6}: each tenant's hottest key must be
-  // strictly hotter than the previous tenant's.
-  MultiTenantStreamGenerator gen(BaseOptions());
-  std::map<uint64_t, int> freq;
-  for (int i = 0; i < 30000; ++i) ++freq[gen.NextKey()];
-  int max_per_tenant[3] = {0, 0, 0};
-  for (const auto& [k, c] : freq) {
-    max_per_tenant[k / 333] = std::max(max_per_tenant[k / 333], c);
-  }
-  EXPECT_LT(max_per_tenant[0], max_per_tenant[1]);
-  EXPECT_LT(max_per_tenant[1], max_per_tenant[2]);
 }
 
 TEST(SingleKeyRampTest, HotKeyShareGrowsToFinalFraction) {
