@@ -161,7 +161,7 @@ int Main(int argc, char** argv) {
   flags.AddInt64("engine-threads", &engine_threads,
                  "threaded engine: executor threads (0 = hardware)");
   flags.AddInt64("queue-capacity", &queue_capacity,
-                 "threaded engine: per-edge ring capacity in tuples");
+                 "threaded engine: per-lane ring capacity in tuples");
   flags.AddInt64("batch-size", &batch_size,
                  "threaded engine: emit batch / task quantum in tuples");
   BenchEnv env = ParseBenchArgs(argc, argv, "", &flags);

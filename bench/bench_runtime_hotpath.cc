@@ -55,6 +55,7 @@ struct RunAverages {
   double idle_s = 0.0;
   double park_s = 0.0;
   double parks = 0.0;
+  double tuples_per_push = 0.0;
   uint64_t roots = 0;
   uint64_t tuples = 0;
   uint32_t pinned = 0;
@@ -95,7 +96,7 @@ int Main(int argc, char** argv) {
   std::printf(
       "#scenario\tzipf\talgo\tthreads\tfanout\tthroughput_per_s\t"
       "makespan_s\troots_acked\ttuples_processed\tlat_p99_ms\t"
-      "idle_s\tpark_s\tparks\tthreads_pinned\n");
+      "idle_s\tpark_s\tparks\tthreads_pinned\ttuples_per_push\n");
 
   const std::vector<double> exponents = {1.4, 2.0};
   const std::vector<AlgorithmKind> algorithms = {
@@ -157,12 +158,19 @@ int Main(int argc, char** argv) {
         avg.idle_s += stats.idle_s;
         avg.park_s += stats.park_s;
         avg.parks += static_cast<double>(stats.parks);
+        // Every tuple a bolt executes crossed one ring; spout roots did not.
+        avg.tuples_per_push +=
+            stats.publishes > 0
+                ? static_cast<double>(stats.tuples_processed -
+                                      stats.roots_acked) /
+                      static_cast<double>(stats.publishes)
+                : 0.0;
         avg.roots = stats.roots_acked;
         avg.tuples = stats.tuples_processed;
         avg.pinned = stats.threads_pinned;
       }
       const double n = static_cast<double>(env.runs);
-      std::printf("zipf-%.1f\t%.1f\t%s\t%lld\t%lld\t%s\t%s\t%llu\t%llu\t%s\t%s\t%s\t%.0f\t%u\n",
+      std::printf("zipf-%.1f\t%.1f\t%s\t%lld\t%lld\t%s\t%s\t%llu\t%llu\t%s\t%s\t%s\t%.0f\t%u\t%.2f\n",
                   z, z, AlgorithmKindName(algorithm).c_str(),
                   static_cast<long long>(runtime_flags.engine_threads),
                   static_cast<long long>(fanout), Sci(avg.throughput / n).c_str(),
@@ -170,7 +178,8 @@ int Main(int argc, char** argv) {
                   static_cast<unsigned long long>(avg.roots),
                   static_cast<unsigned long long>(avg.tuples),
                   Sci(avg.latency_p99 / n).c_str(), Sci(avg.idle_s / n).c_str(),
-                  Sci(avg.park_s / n).c_str(), avg.parks / n, avg.pinned);
+                  Sci(avg.park_s / n).c_str(), avg.parks / n, avg.pinned,
+                  avg.tuples_per_push / n);
       std::fflush(stdout);
     }
   }

@@ -188,7 +188,7 @@ void RuntimeFlags::Register(FlagSet* flags) {
   flags->AddInt64("engine-threads", &engine_threads,
                   "threaded engine: executor threads (0 = hardware)");
   flags->AddInt64("queue-capacity", &queue_capacity,
-                  "threaded engine: per-edge ring capacity in tuples");
+                  "threaded engine: per-lane ring capacity in tuples");
   flags->AddInt64("batch-size", &batch_size,
                   "threaded engine: emit batch / task quantum in tuples");
   flags->AddString("wait-strategy", &wait_strategy,

@@ -202,6 +202,39 @@ else
   threaded_failures=1
 fi
 
+# Wide-stage guard: at one executor thread with 80 workers per stage, every
+# bolt task shares its host's lanes, so this is the shape that exercises
+# head-of-line dispatch and many tasks per inbox. The run must exit 0 and
+# report a row for each of the four algorithms.
+WIDE_TSV="$OUT_DIR/bench_runtime_hotpath.wide.tsv"
+wide_failures=0
+hotpath_bin="$BUILD_DIR/bench/bench_runtime_hotpath"
+if [ -x "$hotpath_bin" ]; then
+  if ! "$hotpath_bin" --engine-threads 1 --fanout 1 --stage-workers 80 \
+       --messages "$MESSAGES" --runs 1 \
+       > "$WIDE_TSV" 2> "$OUT_DIR/bench_runtime_hotpath.wide.err"; then
+    echo "FAIL  bench_runtime_hotpath --stage-workers 80: non-zero exit" >&2
+    sed 's/^/      /' "$OUT_DIR/bench_runtime_hotpath.wide.err" >&2 || true
+    wide_failures=1
+  else
+    for algo in PKG D-C W-C SG; do
+      algo_rows="$(grep -v '^#' "$WIDE_TSV" | cut -f3 | grep -cx -- "$algo" || true)"
+      if [ "${algo_rows:-0}" -eq 0 ]; then
+        echo "FAIL  bench_runtime_hotpath --stage-workers 80: no $algo row" >&2
+        wide_failures=$((wide_failures + 1))
+      fi
+    done
+    if [ "$wide_failures" -eq 0 ]; then
+      echo "OK    bench_runtime_hotpath --engine-threads 1 --stage-workers 80" \
+           "(PKG, D-C, W-C and SG rows)"
+    fi
+  fi
+else
+  echo "FAIL  bench_runtime_hotpath missing from the build; wide-stage" \
+       "guard cannot run" >&2
+  wide_failures=1
+fi
+
 # End-to-end benchmark (bench/e2e): run.py builds bench_e2e from the
 # sources into its own build directory and runs every workload at the
 # --quick budget; it exits non-zero when a build step, a correctness check
@@ -421,10 +454,13 @@ fi
 if [ "$cost_failures" -gt 0 ]; then
   echo "cost-routing guard FAILED ($cost_failures problems)" >&2
 fi
+if [ "$wide_failures" -gt 0 ]; then
+  echo "wide-stage hot-path guard FAILED ($wide_failures problems)" >&2
+fi
 if [ "$e2e_failures" -gt 0 ]; then
   echo "end-to-end benchmark smoke FAILED" >&2
 fi
 if [ "$micro_runtime_failures" -gt 0 ]; then
   echo "runtime micro-bench guard FAILED ($micro_runtime_failures problems)" >&2
 fi
-exit "$(((failures + flag_failures + headroom_failures + threaded_failures + rescale_failures + threaded_rescale_failures + cost_failures + e2e_failures + micro_runtime_failures) > 0 ? 1 : 0))"
+exit "$(((failures + flag_failures + headroom_failures + threaded_failures + rescale_failures + threaded_rescale_failures + cost_failures + wide_failures + e2e_failures + micro_runtime_failures) > 0 ? 1 : 0))"

@@ -145,6 +145,16 @@ bool QuiesceComplete(const Runtime& rt, const ElasticState& els) {
          rt.active_roots.load(std::memory_order_acquire) == 0;
 }
 
+// True when every lane buffer of `task` has been published.
+bool AllFlushed(const TaskState& task) {
+  for (const OutEdge& edge : task.out) {
+    for (const Lane& lane : edge.lanes) {
+      if (!lane.buffer.empty()) return false;
+    }
+  }
+  return true;
+}
+
 SpscRing<HandoffFrame>* FindHandoffRing(TaskState& from, const TaskState* to) {
   for (auto& [dest, ring] : from.elastic->handoff_out) {
     if (dest == to) return ring;
@@ -333,9 +343,9 @@ void ScaleIn(ElasticState& els, uint32_t new_n) {
 }
 
 // Scale-out: builds the lazy owner directory over every live key, spawns
-// bolt tasks for worker indices [old_n, new_n) with data rings from every
-// spout (replacing the drained ring of a retired worker at a reused index),
-// meshes all live pairs, and starts ONE executor thread for the new tasks.
+// bolt tasks for worker indices [old_n, new_n) on ONE new executor thread,
+// adds a lane from every spout into it (re-pointing a retired worker's
+// reused index), and meshes all live pairs.
 void ScaleOut(Runtime& rt, ElasticState& els, uint32_t new_n) {
   const uint32_t old_n = static_cast<uint32_t>(els.workers.size());
   {
@@ -366,34 +376,26 @@ void ScaleOut(Runtime& rt, ElasticState& els, uint32_t new_n) {
     SLB_CHECK(task->bolt != nullptr) << "bolt factory returned null";
     task->bolt->Prepare(w, new_n);
     SLB_CHECK(task->bolt->SupportsStateHandoff());
-    TaskState* raw = task.get();
-    raw->elastic = &els.task_state.emplace_back();
-    for (TaskState* spout : els.spouts) {
-      rt.rings.push_back(
-          std::make_unique<SpscRing<RtTuple>>(rt.queue_capacity));
-      SpscRing<RtTuple>* ring = rt.rings.back().get();
-      OutEdge& out = spout->out[0];
-      if (w < out.rings.size()) {
-        // A retired worker owned this index before; its ring is drained and
-        // orphaned — swap in a fresh one.
-        SLB_CHECK(out.rings[w]->EmptyApprox());
-        SLB_CHECK(out.buffers[w].empty());
-        out.rings[w] = ring;
-        out.dest_tasks[w] = raw;
-        out.flushed[w] = 0;
-      } else {
-        SLB_CHECK(out.rings.size() == w);
-        out.rings.push_back(ring);
-        out.dest_tasks.push_back(raw);
-        out.buffers.emplace_back();
-        out.flushed.push_back(0);
-      }
-      raw->inputs.push_back(ring);
-    }
+    task->elastic = &els.task_state.emplace_back();
+    task->host = ctx.get();
+    els.workers.push_back(task.get());
+    ctx->tasks.push_back(task.get());
     rt.tasks.push_back(std::move(task));
-    els.workers.push_back(raw);
-    ctx->tasks.push_back(raw);
-    raw->host = ctx.get();
+  }
+  for (TaskState* spout : els.spouts) {
+    OutEdge& out = spout->out[0];
+    const uint32_t lane = AddLane(rt, out, *ctx);
+    for (uint32_t w = old_n; w < new_n; ++w) {
+      if (w < out.dest_tasks.size()) {
+        // A retired worker held this index; its lane was audited empty.
+        out.dest_tasks[w] = els.workers[w];
+        out.lane_of[w] = lane;
+      } else {
+        SLB_CHECK(out.dest_tasks.size() == w);
+        out.dest_tasks.push_back(els.workers[w]);
+        out.lane_of.push_back(lane);
+      }
+    }
   }
   // Lazy pulls flow between any live pair once the window opens.
   for (TaskState* a : els.workers) {
@@ -431,6 +433,11 @@ void MutateAtBarrier(Runtime& rt, ElasticState& els) {
   }
   for (const auto& ring : rt.rings) {
     SLB_CHECK(ring->EmptyApprox()) << "data ring non-empty at barrier";
+  }
+  for (const auto& ctx : rt.contexts) {
+    for (const Inbox& inbox : ctx->inboxes) {
+      SLB_CHECK(inbox.next == inbox.end) << "inbox stash non-empty at barrier";
+    }
   }
 
   SLB_CHECK(els.next_event < els.pending.size());
@@ -622,19 +629,12 @@ bool ElasticSpoutQuantum(Runtime& rt, ThreadCtx& ctx, TaskState& task) {
   return did_work;
 }
 
-bool ElasticBoltService(Runtime& rt, TaskState& task, bool* did_work,
-                        bool* check_keys) {
+bool ElasticBoltService(Runtime& rt, TaskState& task) {
   ElasticState& els = *rt.elastic;
   ElasticTask& et = *task.elastic;
   if (et.retired) return false;
-  if (et.draining) {
-    *did_work |= DrainQuantum(rt, els, task);
-    return false;
-  }
-  *did_work |= ServiceHandoffs(rt, els, task);
-  // Entries are only created at barriers: a zero here holds all quantum.
-  *check_keys = els.dir_active.load(std::memory_order_relaxed) > 0;
-  return true;
+  return et.draining ? DrainQuantum(rt, els, task)
+                     : ServiceHandoffs(rt, els, task);
 }
 
 // Mirrors MigrationTracker::OnMessage: a key whose state is in flight counts
@@ -644,6 +644,12 @@ bool ElasticBoltService(Runtime& rt, TaskState& task, bool* did_work,
 // its lowest-indexed owner.
 void ElasticCheck(Runtime& rt, TaskState& task, uint64_t key) {
   ElasticState& els = *rt.elastic;
+  // A scale-in rescales every partitioner at a barrier with empty lanes and
+  // stashes, so no data tuple can reach a draining or retired worker.
+  SLB_CHECK(!task.elastic->draining && !task.elastic->retired)
+      << "data tuple for a removed worker";
+  // Entries are only created at barriers: a zero holds until the next one.
+  if (els.dir_active.load(std::memory_order_relaxed) == 0) return;
   std::lock_guard<std::mutex> lock(els.dir_mu);
   auto it = els.directory.find(key);
   if (it == els.directory.end()) return;

@@ -21,18 +21,18 @@ void Runtime::WakeAll() {
   for (auto& ctx : contexts) WakeGate(ctx->gate);
 }
 
-bool AllFlushed(const TaskState& task) {
-  for (const OutEdge& edge : task.out) {
-    for (const auto& buf : edge.buffers) {
-      if (!buf.empty()) return false;
-    }
-  }
-  return true;
+uint32_t AddLane(Runtime& rt, OutEdge& edge, ThreadCtx& host) {
+  rt.rings.push_back(std::make_unique<SpscRing<RtTuple>>(rt.queue_capacity));
+  SpscRing<RtTuple>* ring = rt.rings.back().get();
+  host.inboxes.emplace_back(ring);
+  edge.lanes.push_back(Lane{ring, &host, {}, 0});
+  return static_cast<uint32_t>(edge.lanes.size() - 1);
 }
 
 namespace {
 
-// Attempts to publish every buffered tuple; returns true if any tuple moved.
+// Attempts to publish every buffered tuple, one push per lane; returns true
+// if any tuple moved, and leaves the task blocked if any stayed behind.
 // Publishing into an EMPTY ring wakes the consumer's host: a consumer can
 // only park after observing all its rings empty, so every tuple it could be
 // sleeping on crosses an empty->non-empty edge and fires exactly this wake.
@@ -42,33 +42,37 @@ namespace {
 // parks. That lost edge is deliberately tolerated — ParkIdle's 1 ms timed
 // wait re-polls the rings, so the worst case is a bounded latency blip, not
 // a deadlock; closing it would cost a seq_cst fence on every flush.
-bool FlushTask(Runtime& rt, TaskState& task) {
+bool FlushTask(Runtime& rt, ThreadCtx& ctx, TaskState& task) {
   bool moved = false;
+  bool backlog = false;
   for (OutEdge& edge : task.out) {
-    for (size_t d = 0; d < edge.rings.size(); ++d) {
-      std::vector<RtTuple>& buf = edge.buffers[d];
-      size_t& sent = edge.flushed[d];
-      if (sent == buf.size()) continue;
-      SpscRing<RtTuple>& ring = *edge.rings[d];
+    for (Lane& lane : edge.lanes) {
+      std::vector<RtTuple>& buf = lane.buffer;
+      if (lane.flushed == buf.size()) continue;
+      SpscRing<RtTuple>& ring = *lane.ring;
       const bool was_empty = ring.EmptyApprox();
-      const size_t pushed =
-          ring.TryPushBatch(buf.data() + sent, buf.size() - sent);
-      sent += pushed;
+      const size_t pushed = ring.TryPushBatch(buf.data() + lane.flushed,
+                                              buf.size() - lane.flushed);
+      lane.flushed += pushed;
       if (pushed > 0) {
         moved = true;
-        if (was_empty) WakeHost(rt, edge.dest_tasks[d]);
+        ++ctx.publishes;
+        if (was_empty && rt.adaptive()) WakeGate(lane.host->gate);
       }
-      if (sent == buf.size()) {
+      if (lane.flushed == buf.size()) {
         buf.clear();
-        sent = 0;
+        lane.flushed = 0;
+      } else {
+        backlog = true;
       }
     }
   }
+  task.blocked = backlog;
   return moved;
 }
 
-// Routes `tuple` along every outgoing edge of `task` into the per-
-// destination emit buffers and returns the number of copies queued. Does NOT
+// Routes `tuple` along every outgoing edge of `task` into the buffer of its
+// destination's lane and returns the number of copies queued. Does NOT
 // touch the root's refcount — buffered copies are invisible downstream until
 // FlushTask publishes them, so the caller charges all copies in one step
 // (the spout's seeding store, or a bolt's net adjustment) before flushing.
@@ -89,8 +93,8 @@ uint32_t RouteCopies(TaskState& task, const TopologyTuple& tuple,
         log->workers.push_back(dest);
       }
     }
-    edge.buffers[dest].push_back(
-        RtTuple{tuple.key, tuple.value, spout_task, root_slot});
+    edge.lanes[edge.lane_of[dest]].buffer.push_back(RtTuple{
+        tuple.key, tuple.value, spout_task, root_slot, edge.dest_tasks[dest]});
     ++copies;
   }
   return copies;
@@ -234,69 +238,54 @@ bool SpoutEmitLoop(Runtime& rt, ThreadCtx& ctx, TaskState& task,
 }
 
 bool SpoutQuantum(Runtime& rt, ThreadCtx& ctx, TaskState& task) {
-  bool did_work = FlushTask(rt, task);
-  if (!AllFlushed(task) || task.exhausted) return did_work;
+  bool did_work = FlushTask(rt, ctx, task);
+  if (task.blocked || task.exhausted) return did_work;
   did_work |= task.elastic == nullptr
                   ? SpoutEmitLoop<false>(rt, ctx, task, rt.batch_size, nullptr)
                   : ElasticSpoutQuantum(rt, ctx, task);
-  did_work |= FlushTask(rt, task);
+  did_work |= FlushTask(rt, ctx, task);
   return did_work;
 }
 
-bool BoltQuantum(Runtime& rt, ThreadCtx& ctx, TaskState& task) {
+// One lane's quantum: executes up to batch_size of its tuples, each on its
+// destination task. A tuple for a blocked task ends the quantum and waits at
+// the head of the stash while the executor's other lanes keep running; the
+// task unblocks once the pass-end flush empties its lanes.
+bool InboxQuantum(Runtime& rt, ThreadCtx& ctx, Inbox& inbox) {
   bool did_work = false;
-  bool check_keys = false;
-  if (task.elastic != nullptr &&
-      !ElasticBoltService(rt, task, &did_work, &check_keys)) {
-    return did_work;
-  }
-  did_work |= FlushTask(rt, task);
-  if (!AllFlushed(task)) return did_work;  // backpressure: do not consume
-
-  uint32_t budget = rt.batch_size;
-  RtTuple chunk[32];
-  while (budget > 0) {
-    // MPSC fan-in: poll the per-producer SPSC rings round-robin.
-    size_t popped = 0;
-    for (size_t i = 0; i < task.inputs.size(); ++i) {
-      const size_t r = (task.input_cursor + i) % task.inputs.size();
-      const size_t want =
-          std::min<size_t>(budget, sizeof(chunk) / sizeof(chunk[0]));
-      popped = task.inputs[r]->TryPopBatch(chunk, want);
-      if (popped > 0) {
-        task.input_cursor = (r + 1) % task.inputs.size();
-        break;
-      }
+  for (uint32_t budget = rt.batch_size; budget > 0; --budget) {
+    if (inbox.next == inbox.end) {
+      inbox.next = 0;
+      inbox.end = static_cast<uint32_t>(inbox.ring->TryPopBatch(
+          inbox.chunk, std::min(budget, Inbox::kChunk)));
+      if (inbox.end == 0) break;
     }
-    if (popped == 0) break;
-
-    for (size_t i = 0; i < popped; ++i) {
-      const RtTuple& in = chunk[i];
-      if (check_keys) ElasticCheck(rt, task, in.key);
-      task.collector.emitted.clear();
-      task.bolt->Execute(TopologyTuple{in.key, in.value}, &task.collector);
-      ++task.processed;
-      ++ctx.processed_delta;
-      uint32_t new_refs = 0;
-      for (const TopologyTuple& out : task.collector.emitted) {
-        new_refs += RouteCopies<false>(task, out, in.spout_task, in.root_slot);
-      }
-      // Net refcount change: +new_refs for the queued copies, -1 for the
-      // consumed input. A pure relay (net zero) touches no atomic at all; a
-      // fan-out applies one relaxed add — safe because our own still-held
-      // reference keeps the tree open until the children are charged; a leaf
-      // defers its lone decrement into the pass's coalesced ack flush.
-      if (new_refs == 0) {
-        DeferAck(ctx, in.spout_task, in.root_slot);
-      } else if (new_refs > 1) {
-        rt.tasks[in.spout_task]->slots[in.root_slot].pending.fetch_add(
-            new_refs - 1, std::memory_order_relaxed);
-      }
+    const RtTuple& in = inbox.chunk[inbox.next];
+    TaskState& task = *in.dest;
+    if (task.blocked) break;  // head-of-line: backpressure on this lane
+    ++inbox.next;
+    if (task.elastic != nullptr) ElasticCheck(rt, task, in.key);
+    task.collector.emitted.clear();
+    task.bolt->Execute(TopologyTuple{in.key, in.value}, &task.collector);
+    ++task.processed;
+    ++ctx.processed_delta;
+    uint32_t new_refs = 0;
+    for (const TopologyTuple& out : task.collector.emitted) {
+      new_refs += RouteCopies<false>(task, out, in.spout_task, in.root_slot);
     }
-    budget -= static_cast<uint32_t>(popped);
+    // Net refcount change: +new_refs for the queued copies, -1 for the
+    // consumed input. A pure relay (net zero) touches no atomic at all; a
+    // fan-out applies one relaxed add — safe because our own still-held
+    // reference keeps the tree open until the children are charged; a leaf
+    // defers its lone decrement into the pass's coalesced ack flush.
+    if (new_refs == 0) {
+      DeferAck(ctx, in.spout_task, in.root_slot);
+    } else if (new_refs > 1) {
+      rt.tasks[in.spout_task]->slots[in.root_slot].pending.fetch_add(
+          new_refs - 1, std::memory_order_relaxed);
+    }
     did_work = true;
   }
-  did_work |= FlushTask(rt, task);
   return did_work;
 }
 
@@ -367,15 +356,15 @@ bool MaybeRunnable(Runtime& rt, ThreadCtx& ctx) {
         HasCredit(rt, *task)) {
       return true;
     }
-    // A task with unflushed emit buffers must keep retrying: consumers do
-    // not signal "space freed" edges, only "tuples published" ones, so a
-    // backpressured producer stays in the spin/yield rungs until the ring
-    // drains (the consumer is by definition runnable while its ring holds
-    // tuples, so the stall is bounded by downstream progress).
-    if (!AllFlushed(*task)) return true;
-    for (SpscRing<RtTuple>* ring : task->inputs) {
-      if (!ring->EmptyApprox()) return true;
-    }
+    // A blocked task must keep retrying its flush: consumers do not signal
+    // "space freed" edges, only "tuples published" ones, so a backpressured
+    // producer stays in the spin/yield rungs until the ring drains (the
+    // consumer is by definition runnable while its ring holds tuples, so
+    // the stall is bounded by downstream progress).
+    if (task->blocked) return true;
+  }
+  for (const Inbox& inbox : ctx.inboxes) {
+    if (inbox.next != inbox.end || !inbox.ring->EmptyApprox()) return true;
   }
   return false;
 }
@@ -430,8 +419,21 @@ void ThreadMain(Runtime& rt, ThreadCtx& ctx) {
     bool did_work = false;
     try {
       for (TaskState* task : ctx.tasks) {
-        did_work |= task->spout != nullptr ? SpoutQuantum(rt, ctx, *task)
-                                           : BoltQuantum(rt, ctx, *task);
+        if (task->spout != nullptr) {
+          did_work |= SpoutQuantum(rt, ctx, *task);
+        } else if (task->elastic != nullptr) {
+          did_work |= ElasticBoltService(rt, *task);
+        }
+      }
+      for (Inbox& inbox : ctx.inboxes) {
+        did_work |= InboxQuantum(rt, ctx, inbox);
+      }
+      // Publishes what the pass's bolts emitted, one batch per lane; a bolt
+      // whose output does not fit stays blocked until a later pass's flush.
+      for (TaskState* task : ctx.tasks) {
+        if (task->bolt != nullptr && !task->out.empty()) {
+          did_work |= FlushTask(rt, ctx, *task);
+        }
       }
     } catch (const std::exception& e) {
       rt.Fail(Status::Internal(std::string("topology task threw: ") + e.what()));
@@ -558,32 +560,6 @@ Result<TopologyStats> Run(const TopologyBuilder::Topology& topology,
     }
   }
 
-  // --- Transport fabric: one SPSC ring per (producer, consumer) task pair
-  // of every edge, registered on both endpoints in deterministic order. ----
-  for (uint32_t c = 0; c < components.size(); ++c) {
-    const PlannedComponent& comp = components[c];
-    for (const PlannedEdge& edge : comp.outputs) {
-      const PlannedComponent& to = components[edge.to_component];
-      for (uint32_t p = 0; p < comp.parallelism; ++p) {
-        TaskState& producer = *rt.tasks[comp.first_task + p];
-        OutEdge out;
-        out.rings.reserve(to.parallelism);
-        out.dest_tasks.reserve(to.parallelism);
-        out.buffers.resize(to.parallelism);
-        out.flushed.assign(to.parallelism, 0);
-        for (uint32_t q = 0; q < to.parallelism; ++q) {
-          rt.rings.push_back(std::make_unique<SpscRing<RtTuple>>(
-              runtime_options.queue_capacity));
-          SpscRing<RtTuple>* ring = rt.rings.back().get();
-          out.rings.push_back(ring);
-          out.dest_tasks.push_back(rt.tasks[to.first_task + q].get());
-          rt.tasks[to.first_task + q]->inputs.push_back(ring);
-        }
-        producer.out.push_back(std::move(out));
-      }
-    }
-  }
-
   // --- Executor threads: tasks assigned round-robin. -----------------------
   uint32_t num_threads = runtime_options.num_threads;
   if (num_threads == 0) {
@@ -606,6 +582,31 @@ Result<TopologyStats> Run(const TopologyBuilder::Topology& topology,
   for (uint32_t t = 0; t < plan.num_tasks; ++t) {
     rt.contexts[t % num_threads]->tasks.push_back(rt.tasks[t].get());
     rt.tasks[t]->host = rt.contexts[t % num_threads].get();
+  }
+
+  // --- Transport fabric: host lanes. Per edge, every producer task gets one
+  // SPSC ring to each executor thread hosting a destination task, built in
+  // deterministic order. -----------------------------------------------------
+  for (uint32_t c = 0; c < components.size(); ++c) {
+    const PlannedComponent& comp = components[c];
+    for (const PlannedEdge& edge : comp.outputs) {
+      const PlannedComponent& to = components[edge.to_component];
+      for (uint32_t p = 0; p < comp.parallelism; ++p) {
+        OutEdge out;
+        for (uint32_t q = 0; q < to.parallelism; ++q) {
+          TaskState* dest = rt.tasks[to.first_task + q].get();
+          uint32_t lane = 0;
+          while (lane < out.lanes.size() &&
+                 out.lanes[lane].host != dest->host) {
+            ++lane;
+          }
+          if (lane == out.lanes.size()) AddLane(rt, out, *dest->host);
+          out.lane_of.push_back(lane);
+          out.dest_tasks.push_back(dest);
+        }
+        rt.tasks[comp.first_task + p]->out.push_back(std::move(out));
+      }
+    }
   }
 
   if (!runtime_options.rescale.empty()) {
@@ -656,6 +657,7 @@ Result<TopologyStats> Run(const TopologyBuilder::Topology& topology,
     stats.idle_s += ctx->idle_s;
     stats.park_s += ctx->park_s;
     stats.parks += ctx->parks;
+    stats.publishes += ctx->publishes;
   }
   stats.threads_pinned = rt.threads_pinned.load(std::memory_order_relaxed);
   stats.tuples_processed = rt.total_processed.load(std::memory_order_relaxed);

@@ -4,12 +4,15 @@
 // a discrete-event loop, so its throughput and latency are *modeled*. This
 // runtime executes the same declarative topology on real threads, so
 // bench_fig13/fig14 can report hardware-measured msgs/sec and queue-delay
-// percentiles. Transport is one bounded lock-free SPSC ring per (producer
-// task, consumer task) pair of every edge, fed in batches of `batch_size`;
-// spouts hold a credit window of `max_pending_per_spout` root tuples, and
-// full rings stall producers without blocking their thread; tasks run
-// cooperatively on `num_threads` executor threads. See docs/ARCHITECTURE.md
-// "The threaded runtime".
+// percentiles. Tasks run cooperatively on `num_threads` executor threads.
+// Transport is host lanes: per edge, one bounded lock-free SPSC ring from
+// each producer task to each executor thread hosting a destination task, fed
+// in batches of up to `batch_size` tuples per quantum; every tuple names its
+// destination task, and an executor polls one inbox per lane into it. Spouts
+// hold a credit window of `max_pending_per_spout` root tuples; a full lane
+// stalls its producer without blocking the thread, and a bolt whose output
+// does not fit holds up the tuples queued behind it on its inbound lanes
+// until the output drains. See docs/ARCHITECTURE.md "The threaded runtime".
 //
 // Determinism: each task's partitioner state is sender-local and fed only by
 // that task's own tuple sequence, so for single-layer topologies the routing
@@ -79,11 +82,13 @@ enum class WaitStrategy : uint8_t {
 struct TopologyRuntimeOptions {
   /// Executor threads (0 = hardware concurrency, capped at the task count).
   uint32_t num_threads = 0;
-  /// Per (producer, consumer) ring capacity in tuples (rounded up to a power
-  /// of two). Small rings surface backpressure earlier.
+  /// Capacity in tuples of each host lane — the ring from one producer task
+  /// to one executor thread, per edge (rounded up to a power of two). Small
+  /// lanes surface backpressure earlier.
   uint32_t queue_capacity = 1024;
-  /// Emit-path batch: tuples buffered per destination before one ring
-  /// publish; also the number of tuples a task processes per quantum.
+  /// Quantum size: the roots a spout emits, and the tuples an executor takes
+  /// from one inbound lane, per pass. Emitted tuples are buffered per lane
+  /// and published in one push per lane.
   uint32_t batch_size = 64;
   /// Idle executor policy (see WaitStrategy).
   WaitStrategy wait_strategy = WaitStrategy::kAdaptive;

@@ -26,13 +26,18 @@
 
 namespace slb::runtime_internal {
 
+struct TaskState;
+struct ThreadCtx;
+
 // A tuple in transit. The (spout_task, root_slot) pair names the root tree
-// this tuple belongs to for ack accounting.
+// this tuple belongs to for ack accounting; `dest` is the task that executes
+// it (a lane carries tuples for every task its executor hosts).
 struct RtTuple {
   uint64_t key = 0;
   uint64_t value = 0;
   uint32_t spout_task = 0;
   uint32_t root_slot = 0;
+  TaskState* dest = nullptr;
 };
 
 // One in-flight root tuple tree of a spout task. `pending` counts the
@@ -59,26 +64,33 @@ class ReusableCollector final : public OutputCollector {
   std::vector<TopologyTuple> emitted;
 };
 
-struct TaskState;
-struct ThreadCtx;
 // Rescale protocol state (elastic.cc); complete only there.
 struct ElasticState;
 struct ElasticTask;
 
-// Per-destination emit buffer of one outgoing edge: tuples routed but not
-// yet published to the destination ring (the batch plus, under backpressure,
-// the stash of rejected pushes).
+// One host lane of an outgoing edge: the ring from this producer task to
+// one consumer executor thread, and the tuples routed to that thread's tasks
+// but not yet published (the batch plus, under backpressure, the rest of a
+// partial push).
+struct Lane {
+  SpscRing<RtTuple>* ring = nullptr;
+  ThreadCtx* host = nullptr;  // consumer executor (for wakes)
+  std::vector<RtTuple> buffer;
+  size_t flushed = 0;  // prefix of buffer already sent
+};
+
+// Emit side of one outgoing edge: one lane per executor thread hosting a
+// destination task, and per destination index its task and its lane.
 struct OutEdge {
-  std::vector<SpscRing<RtTuple>*> rings;      // one per destination task
-  std::vector<TaskState*> dest_tasks;         // parallel to rings (for wakes)
-  std::vector<std::vector<RtTuple>> buffers;  // parallel to rings
-  std::vector<size_t> flushed;                // prefix of buffer already sent
+  std::vector<Lane> lanes;
+  std::vector<uint32_t> lane_of;       // destination index -> lane
+  std::vector<TaskState*> dest_tasks;  // destination index -> task
 };
 
 struct TaskState {
   // Executor thread hosting this task (tasks never migrate; set before the
-  // host starts, or at the rescale barrier for scale-out workers). Producers
-  // use it to wake the host when they publish into one of its empty rings.
+  // host starts, or at the rescale barrier for scale-out workers). Lanes are
+  // built per host, and credit returns and handoff frames wake it.
   ThreadCtx* host = nullptr;
   uint32_t task_id = 0;
   uint32_t component = 0;
@@ -87,9 +99,9 @@ struct TaskState {
   std::unique_ptr<Bolt> bolt;
   std::vector<std::unique_ptr<StreamPartitioner>> partitioners;
   std::vector<OutEdge> out;
-  // Bolt: input rings, one per upstream producer task (MPSC as polled SPSC).
-  std::vector<SpscRing<RtTuple>*> inputs;
-  size_t input_cursor = 0;
+  // Bolt: its last flush left output behind. Its host's inboxes hold any
+  // tuple for it until a later flush empties the lanes (head-of-line).
+  bool blocked = false;
   ReusableCollector collector;
   uint64_t processed = 0;
   // Spout: root-slot table (size = credit window) and live-root count.
@@ -130,6 +142,7 @@ struct Runtime {
   // Each component's current tasks by index; only the rescale mutator
   // changes one (the rescaled bolt's).
   std::vector<std::vector<TaskState*>> live;
+  // Every lane's ring; lanes and inboxes point into these.
   std::vector<std::unique_ptr<SpscRing<RtTuple>>> rings;
   uint32_t batch_size = 64;
   uint32_t max_pending = 1;
@@ -190,11 +203,25 @@ struct PendingAck {
   uint32_t count = 0;
 };
 
+// Receive end of one lane on its consumer executor. `chunk[next, end)` is
+// the stash: tuples popped but not yet executed, non-empty only while the
+// head tuple's destination is blocked or the quantum's budget ran out.
+struct Inbox {
+  static constexpr uint32_t kChunk = 32;
+  explicit Inbox(SpscRing<RtTuple>* r) : ring(r) {}
+  SpscRing<RtTuple>* ring;
+  uint32_t next = 0;
+  uint32_t end = 0;
+  RtTuple chunk[kChunk];
+};
+
 // Per-executor-thread accumulators, merged after join. Histogram is
 // non-movable (internal mutex), so contexts live behind unique_ptr.
 struct ThreadCtx {
   explicit ThreadCtx(uint64_t seed) : latency_ms(1 << 16, seed) {}
   std::vector<TaskState*> tasks;
+  // One per lane into this executor: per upstream producer task and edge.
+  std::vector<Inbox> inboxes;
   Histogram latency_ms;
   uint64_t roots_acked = 0;
   double last_ack_s = 0.0;
@@ -213,6 +240,7 @@ struct ThreadCtx {
   double idle_s = 0.0;
   double park_s = 0.0;
   uint64_t parks = 0;
+  uint64_t publishes = 0;  // lane pushes by this executor that moved tuples
 };
 
 // Signals one gate: any signal racing a park is caught either by the epoch
@@ -240,8 +268,9 @@ inline bool HasCredit(const Runtime& rt, const TaskState& task) {
          task.in_flight.load(std::memory_order_relaxed) < rt.max_pending;
 }
 
-// True when every emit buffer of `task` has been published.
-bool AllFlushed(const TaskState& task);
+// Adds a lane from `edge`'s producer to executor `host`: a new ring, and its
+// inbox on `host`. Returns the lane's index in edge.lanes.
+uint32_t AddLane(Runtime& rt, OutEdge& edge, ThreadCtx& host);
 // Executor thread body: runs its tasks' quanta until the runtime stops.
 void ThreadMain(Runtime& rt, ThreadCtx& ctx);
 // An elastic spout's emission loop: up to `budget` roots, each first-edge
@@ -262,12 +291,10 @@ bool ElasticGate(Runtime& rt);
 // An elastic spout's quantum: emits up to its next trigger, pauses there,
 // and cancels the remaining schedule if the stream runs dry short of it.
 bool ElasticSpoutQuantum(Runtime& rt, ThreadCtx& ctx, TaskState& task);
-// Handoff service, or a scale-in drain, at the top of an elastic bolt's
-// quantum. False = consume no data (draining or retired). *check_keys is set
-// while the migration directory is non-empty: every tuple's key then goes
-// through ElasticCheck.
-bool ElasticBoltService(Runtime& rt, TaskState& task, bool* did_work,
-                        bool* check_keys);
+// Handoff service, or a scale-in drain, of an elastic bolt: once per pass.
+bool ElasticBoltService(Runtime& rt, TaskState& task);
+// Runs before an elastic bolt executes a data tuple: the key's migration
+// check while the directory is non-empty.
 void ElasticCheck(Runtime& rt, TaskState& task, uint64_t key);
 // Runnable poll before parking: the quiesce phase, and the handoff work,
 // trigger and credit of every elastic task of `ctx`.

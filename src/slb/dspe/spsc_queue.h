@@ -1,10 +1,11 @@
 // Bounded lock-free single-producer / single-consumer ring queue.
 //
-// The threaded runtime's transport fabric: every (producer task, consumer
-// task) pair of an edge gets one ring, so bolts see MPSC fan-in as a poll
-// over per-producer SPSC rings — no CAS loops, no shared tail contention,
-// FIFO order preserved per sender (the property the partitioners' sender-
-// local load estimates rely on).
+// The threaded runtime's transport fabric: every producer task gets, per
+// outgoing edge, one ring to each executor thread hosting a destination task
+// (a host lane), so an executor sees MPSC fan-in as a poll over per-producer
+// SPSC rings — no CAS loops, no shared tail contention, FIFO order preserved
+// per sender (the property the partitioners' sender-local load estimates
+// rely on; one destination's tuples are a subsequence of its lane).
 //
 // Classic cached-index design: producer and consumer each own one index and
 // keep a cached copy of the other's, so the hot path touches a shared cache
@@ -82,20 +83,6 @@ class SpscRing {
     }
     head_.store(head + n, std::memory_order_release);
     return n;
-  }
-
-  /// Drains everything currently visible into `out` (appending); returns the
-  /// count. Consumer-side; used by the rescale mutator to settle rings while
-  /// every executor is parked, and by shutdown paths that must not drop
-  /// in-flight items.
-  size_t TryPopAll(std::vector<T>* out) {
-    size_t total = 0;
-    T item;
-    while (TryPop(&item)) {
-      out->push_back(item);
-      ++total;
-    }
-    return total;
   }
 
   /// Approximate occupancy (exact only when both sides are quiescent).

@@ -237,6 +237,9 @@ struct TopologyStats {
   double idle_s = 0.0;
   double park_s = 0.0;
   uint64_t parks = 0;
+  /// Ring pushes that moved at least one tuple (threaded engine only): the
+  /// transport's batching is tuples delivered per publish.
+  uint64_t publishes = 0;
   /// Executor threads successfully pinned to a CPU (0 unless
   /// TopologyRuntimeOptions::pin_threads, or where unsupported).
   uint32_t threads_pinned = 0;

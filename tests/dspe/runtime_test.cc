@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -212,6 +213,42 @@ class ThrowingBolt final : public Bolt {
   uint64_t seen_ = 0;
 };
 
+// Emits `count` tuples whose value encodes (spout index, sequence number).
+class SequenceSpout final : public Spout {
+ public:
+  SequenceSpout(uint32_t spout, uint64_t count)
+      : spout_(spout), count_(count) {}
+  bool NextTuple(TopologyTuple* out) override {
+    if (next_ == count_) return false;
+    out->key = next_ * 7919 + spout_;
+    out->value = static_cast<uint64_t>(spout_) << 32 | next_;
+    ++next_;
+    return true;
+  }
+
+ private:
+  uint32_t spout_;
+  uint64_t count_;
+  uint64_t next_ = 0;
+};
+
+// Throws when a spout's sequence numbers arrive out of order at this task.
+class SenderOrderBolt final : public Bolt {
+ public:
+  explicit SenderOrderBolt(uint32_t spouts) : next_(spouts, 0) {}
+  void Execute(const TopologyTuple& tuple, OutputCollector*) override {
+    const uint64_t spout = tuple.value >> 32;
+    const uint64_t seq = tuple.value & 0xffffffffu;
+    if (seq < next_.at(spout)) {
+      throw std::runtime_error("per-sender order violated");
+    }
+    next_[spout] = seq + 1;
+  }
+
+ private:
+  std::vector<uint64_t> next_;
+};
+
 TopologyBuilder::Topology PkgWordCount(uint64_t messages_per_spout) {
   TopologyBuilder builder;
   builder.AddSpout("words", [messages_per_spout](uint32_t task) {
@@ -254,21 +291,8 @@ TEST(RuntimeTest, ProcessesEveryTupleManyThreads) {
   EXPECT_GE(result.value().latency_p99_ms, result.value().latency_p50_ms);
 }
 
-// Tiny rings + tiny credit window: progress must still be made (the
-// cooperative scheduler may never block a thread on a full ring).
-TEST(RuntimeTest, SurvivesSevereBackpressure) {
-  TopologyOptions options;
-  options.max_pending_per_spout = 1;
-  TopologyRuntimeOptions rt;
-  rt.num_threads = 2;
-  rt.queue_capacity = 2;
-  rt.batch_size = 1;
-  auto result = ExecuteTopologyThreaded(PkgWordCount(2000), options, rt);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ(result.value().roots_acked, 4u * 2000u);
-}
-
-TEST(RuntimeTest, MultiLayerTupleTreesFullyAck) {
+// Two spouts -> 4 fan-out bolts (3 children each) -> 6 counting bolts.
+TopologyBuilder::Topology TwoStageFanout() {
   TopologyBuilder builder;
   builder.AddSpout("src", [](uint32_t task) {
     return std::make_unique<ZipfSpout>(1.1, 500, 3000, 7 + task);
@@ -279,17 +303,106 @@ TEST(RuntimeTest, MultiLayerTupleTreesFullyAck) {
   builder.AddBolt("count",
                   [](uint32_t) { return std::make_unique<CountBolt>(); }, 6)
       .Input("fan", Grouping::Key());
+  return builder.Build();
+}
+
+// Tiny rings + tiny credit window: progress must still be made (the
+// cooperative scheduler may never block a thread on a full ring). With few
+// threads many tasks share one lane, so a blocked fan-out bolt holds up the
+// tuples queued behind it for its host-mates (head-of-line) — which must
+// still drain, since the blocking only ever waits on a deeper stage.
+TEST(RuntimeTest, SurvivesSevereBackpressure) {
+  for (uint32_t threads : {1u, 2u, 3u}) {
+    for (uint32_t pending : {1u, 4u}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   " pending=" + std::to_string(pending));
+      TopologyOptions options;
+      options.max_pending_per_spout = pending;
+      TopologyRuntimeOptions rt;
+      rt.num_threads = threads;
+      rt.queue_capacity = 2;
+      rt.batch_size = 1;
+      auto single = ExecuteTopologyThreaded(PkgWordCount(2000), options, rt);
+      ASSERT_TRUE(single.ok()) << single.status().ToString();
+      EXPECT_EQ(single.value().roots_acked, 4u * 2000u);
+      EXPECT_EQ(single.value().components[0].tuples_processed, 4u * 2000u);
+      EXPECT_EQ(single.value().components[1].tuples_processed, 4u * 2000u);
+
+      auto fanout = ExecuteTopologyThreaded(TwoStageFanout(), options, rt);
+      ASSERT_TRUE(fanout.ok()) << fanout.status().ToString();
+      const TopologyStats& stats = fanout.value();
+      EXPECT_EQ(stats.roots_acked, 2u * 3000u);
+      EXPECT_EQ(stats.components[0].tuples_processed, 2u * 3000u);
+      EXPECT_EQ(stats.components[1].tuples_processed, 2u * 3000u);
+      EXPECT_EQ(stats.components[2].tuples_processed, 2u * 3000u * 3u);
+    }
+  }
+}
+
+TEST(RuntimeTest, MultiLayerTupleTreesFullyAck) {
   TopologyOptions options;
   options.max_pending_per_spout = 32;
   TopologyRuntimeOptions rt;
   rt.num_threads = 4;
-  auto result = ExecuteTopologyThreaded(builder.Build(), options, rt);
+  auto result = ExecuteTopologyThreaded(TwoStageFanout(), options, rt);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   const TopologyStats& stats = result.value();
   EXPECT_EQ(stats.roots_acked, 2u * 3000u);
   // spout roots + fanout bolt inputs + 3x fanned-out counts.
   EXPECT_EQ(stats.tuples_processed, 2u * 3000u * (1 + 1 + 3));
   EXPECT_EQ(stats.components[2].tuples_processed, 2u * 3000u * 3u);
+}
+
+// Per-(sender, destination) FIFO, end to end: a lane carries many
+// destinations' tuples, and each destination must still see every spout's
+// tuples in emission order.
+TEST(RuntimeTest, PreservesPerSenderOrderOnSharedLanes) {
+  static constexpr uint32_t kSpouts = 8;
+  static constexpr uint64_t kPerSpout = 4000;
+  TopologyBuilder builder;
+  builder.AddSpout("seq", [](uint32_t task) {
+    return std::make_unique<SequenceSpout>(task, kPerSpout);
+  }, kSpouts);
+  builder.AddBolt("check",
+                  [](uint32_t) {
+                    return std::make_unique<SenderOrderBolt>(kSpouts);
+                  },
+                  80)
+      .Input("seq", Grouping::Pkg());
+  const TopologyBuilder::Topology topology = builder.Build();
+  for (uint32_t threads : {1u, 3u, 8u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    TopologyOptions options;
+    options.max_pending_per_spout = 64;
+    TopologyRuntimeOptions rt;
+    rt.num_threads = threads;
+    auto result = ExecuteTopologyThreaded(topology, options, rt);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result.value().roots_acked, kSpouts * kPerSpout);
+  }
+}
+
+// A spout quantum goes out as one batch per host lane: at one executor
+// thread every bolt shares a single lane, so each quantum of `batch_size`
+// roots costs exactly one publish.
+TEST(RuntimeTest, SpoutQuantumPublishesOncePerHostLane) {
+  static constexpr uint64_t kQuanta = 50;
+  TopologyBuilder builder;
+  builder.AddSpout("src", [](uint32_t task) {
+    return std::make_unique<SequenceSpout>(task, kQuanta * 64);
+  }, 1);
+  builder.AddBolt("count",
+                  [](uint32_t) { return std::make_unique<CountBolt>(); }, 8)
+      .Input("src", Grouping::Shuffle());
+  TopologyOptions options;
+  options.max_pending_per_spout = 64;
+  TopologyRuntimeOptions rt;
+  rt.num_threads = 1;
+  rt.batch_size = 64;
+  auto result = ExecuteTopologyThreaded(builder.Build(), options, rt);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result.value().roots_acked, kQuanta * 64);
+  EXPECT_EQ(result.value().publishes, kQuanta);
 }
 
 TEST(RuntimeTest, BoltExceptionSurfacesAsStatus) {

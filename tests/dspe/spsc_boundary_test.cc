@@ -1,11 +1,10 @@
 // Boundary property tests for SpscRing (spsc_queue.h): exactly-at-capacity
-// batch publishes, index wraparound over long runs, and the shutdown-drain
-// path (TryPopAll) the rescale mutator uses to settle rings while executors
-// are parked. The randomized test drives the ring against a std::deque
-// reference model through thousands of seeded batch operations, so any
-// boundary condition in the cached-index arithmetic (full ring, empty ring,
-// partial batch acceptance, wrap of the monotonically growing indices)
-// diverges from the model and fails loudly.
+// batch publishes, index wraparound over long runs, and a consumer draining
+// with TryPopBatch while its producer stops. The randomized test drives the
+// ring against a std::deque reference model through thousands of seeded batch
+// operations, so any boundary condition in the cached-index arithmetic (full
+// ring, empty ring, partial batch acceptance, wrap of the monotonically
+// growing indices) diverges from the model and fails loudly.
 
 #include "slb/dspe/spsc_queue.h"
 
@@ -104,33 +103,23 @@ TEST(SpscBoundaryTest, RandomizedBatchOpsMatchReferenceModel) {
         }
       }
     }
-    // Everything still in flight drains in order.
+    // Everything still in flight drains in order (a pop may stop at the
+    // consumer's cached tail, so drain until one comes back empty).
     std::vector<uint64_t> rest;
-    ring.TryPopAll(&rest);
+    uint64_t chunk[16];
+    for (size_t got; (got = ring.TryPopBatch(chunk, 16)) > 0;) {
+      rest.insert(rest.end(), chunk, chunk + got);
+    }
     ASSERT_EQ(rest.size(), model.size());
     for (size_t i = 0; i < rest.size(); ++i) EXPECT_EQ(rest[i], model[i]);
+    EXPECT_TRUE(ring.EmptyApprox());
   }
 }
 
-TEST(SpscBoundaryTest, TryPopAllDrainsEverythingAndAppends) {
-  SpscRing<int> ring(64);
-  for (int i = 0; i < 40; ++i) ASSERT_TRUE(ring.TryPush(i));
-
-  std::vector<int> out = {-1};  // pre-seeded: TryPopAll must append
-  EXPECT_EQ(ring.TryPopAll(&out), 40u);
-  ASSERT_EQ(out.size(), 41u);
-  EXPECT_EQ(out[0], -1);
-  for (int i = 0; i < 40; ++i) EXPECT_EQ(out[i + 1], i);
-
-  // Empty ring: no-op.
-  EXPECT_EQ(ring.TryPopAll(&out), 0u);
-  EXPECT_EQ(out.size(), 41u);
-}
-
-// The shutdown-drain contract: after the producer thread stops (e.g. a
-// worker retired by a scale-in), the consumer's TryPopAll must recover every
-// item published before the stop — the rescale mutator relies on this to
-// settle rings without losing in-flight tuples.
+// The shutdown-drain contract: after the producer thread stops, the
+// consumer's batch pops recover every item published before the stop, in
+// order — the runtime's termination relies on lanes draining after spouts
+// exhaust.
 TEST(SpscBoundaryTest, DrainDuringShutdownRecoversEveryPublishedItem) {
   constexpr uint64_t kCount = 30000;
   SpscRing<uint64_t> ring(128);
@@ -144,11 +133,15 @@ TEST(SpscBoundaryTest, DrainDuringShutdownRecoversEveryPublishedItem) {
       }
     }
   });
-  // Concurrent drain while the producer runs, then a final settle after it
-  // stops — the two phases of a live retirement.
-  while (drained.size() < kCount) ring.TryPopAll(&drained);
+  // Concurrent drain while the producer runs, then a final poll after it
+  // stops that must find nothing left.
+  uint64_t chunk[32];
+  while (drained.size() < kCount) {
+    const size_t popped = ring.TryPopBatch(chunk, 32);
+    drained.insert(drained.end(), chunk, chunk + popped);
+  }
   producer.join();
-  EXPECT_EQ(ring.TryPopAll(&drained), 0u);
+  EXPECT_EQ(ring.TryPopBatch(chunk, 32), 0u);
 
   ASSERT_EQ(drained.size(), kCount);
   for (uint64_t i = 0; i < kCount; ++i) ASSERT_EQ(drained[i], i);
