@@ -27,11 +27,12 @@
 // algorithm) — the imbalance-vs-migration trade-off at a glance.
 //
 // --engine threaded runs every cell on ExecuteTopologyThreaded instead of
-// the partition simulator: the worker set changes live (threads retired or
-// started mid-run, key state moving through real handoff rings) and the
-// rescale table gains measured columns — quiesce / credit-drain /
-// migration-stall wall-clock plus handoff-frame and live-stall counts —
-// next to the modeled replay accounting (which stays engine-independent).
+// the partition simulator: the worker set changes live (workers added to or
+// drained from the fixed executor threads, key state moving through real
+// handoff frames) and the rescale table gains measured columns — quiesce /
+// credit-drain / migration-stall wall-clock plus handoff-frame and
+// live-stall counts — next to the modeled replay accounting (which stays
+// engine-independent).
 
 #include <cstdio>
 #include <string>
@@ -165,6 +166,9 @@ int Main(int argc, char** argv) {
   flags.AddInt64("batch-size", &batch_size,
                  "threaded engine: emit batch / task quantum in tuples");
   BenchEnv env = ParseBenchArgs(argc, argv, "", &flags);
+  DspeCellOptions cell;
+  cell.engine = DspeEngine::kThreaded;
+  FillRuntimeSizes(engine_threads, queue_capacity, batch_size, &cell.runtime);
   const auto engine = ParseDspeEngine(engine_name);
   if (!engine.ok()) {
     std::fprintf(stderr, "%s\n", engine.status().ToString().c_str());
@@ -207,11 +211,6 @@ int Main(int argc, char** argv) {
   // Fine-grained sampling so the rescale edges resolve in the series.
   grid.num_samples = 120;
   if (engine.value() == DspeEngine::kThreaded) {
-    DspeCellOptions cell;
-    cell.engine = DspeEngine::kThreaded;
-    cell.runtime.num_threads = static_cast<uint32_t>(engine_threads);
-    cell.runtime.queue_capacity = static_cast<uint32_t>(queue_capacity);
-    cell.runtime.batch_size = static_cast<uint32_t>(batch_size);
     grid.runner = MakeDspeCellRunner(cell);
   }
 

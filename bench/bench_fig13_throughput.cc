@@ -42,7 +42,7 @@ int Main(int argc, char** argv) {
   }
   DspeCellOptions cell;
   cell.engine = engine.value();
-  if (!runtime.Fill(&cell.runtime)) return 1;
+  runtime.Fill(&cell.runtime);
   // The threaded engine saturates the host by itself; running sweep cells
   // concurrently on top would just make every cell's measurement noisy.
   if (engine.value() == DspeEngine::kThreaded && env.threads == 0) {

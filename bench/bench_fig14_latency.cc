@@ -39,7 +39,7 @@ int Main(int argc, char** argv) {
   }
   DspeCellOptions cell;
   cell.engine = engine.value();
-  if (!runtime.Fill(&cell.runtime)) return 1;
+  runtime.Fill(&cell.runtime);
   // The threaded engine saturates the host by itself; concurrent sweep cells
   // would corrupt every cell's latency measurement.
   if (engine.value() == DspeEngine::kThreaded && env.threads == 0) {

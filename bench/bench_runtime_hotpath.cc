@@ -79,7 +79,18 @@ int Main(int argc, char** argv) {
       argc, argv, "Threaded runtime hot path: spout -> fanout -> sink", &extra,
       defaults);
   TopologyRuntimeOptions runtime;
-  if (!runtime_flags.Fill(&runtime)) return 1;
+  runtime_flags.Fill(&runtime);
+  // Both are cast to uint32: an unchecked --fanout -1 would emit 2^32 - 1
+  // children per tuple.
+  const char* bad = fanout < 0 || fanout > 1024
+                        ? "--fanout must be in [0, 1024]"
+                    : stage_workers < 1 || stage_workers > 4096
+                        ? "--stage-workers must be in [1, 4096]"
+                        : nullptr;
+  if (bad != nullptr) {
+    std::fprintf(stderr, "%s\n", bad);
+    return 2;
+  }
   // This bench saturates the host with its own executor threads; the
   // --threads sweep axis does not apply (kept for smoke-script uniformity).
   const uint64_t messages = env.MessagesOr(100000, 1000000);

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdio>
+#include <cstdlib>
+#include <limits>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -197,18 +199,35 @@ void RuntimeFlags::Register(FlagSet* flags) {
                  "threaded engine: pin executors round-robin over CPUs");
 }
 
-bool RuntimeFlags::Fill(TopologyRuntimeOptions* options) const {
-  const auto wait = ParseWaitStrategy(wait_strategy);
-  if (!wait.ok()) {
-    std::fprintf(stderr, "%s\n", wait.status().ToString().c_str());
-    return false;
+void FillRuntimeSizes(int64_t engine_threads, int64_t queue_capacity,
+                      int64_t batch_size, TopologyRuntimeOptions* options) {
+  constexpr int64_t kMaxU32 = std::numeric_limits<uint32_t>::max();
+  const char* bad =
+      engine_threads < 0 || engine_threads > kMaxU32
+          ? "--engine-threads must be in [0, 4294967295]"
+      : queue_capacity < 2 || queue_capacity > (int64_t{1} << 20)
+          ? "--queue-capacity must be in [2, 1048576]"
+      : batch_size < 1 || batch_size > kMaxU32
+          ? "--batch-size must be in [1, 4294967295]"
+          : nullptr;
+  if (bad != nullptr) {
+    std::fprintf(stderr, "%s\n", bad);
+    std::exit(2);
   }
   options->num_threads = static_cast<uint32_t>(engine_threads);
   options->queue_capacity = static_cast<uint32_t>(queue_capacity);
   options->batch_size = static_cast<uint32_t>(batch_size);
+}
+
+void RuntimeFlags::Fill(TopologyRuntimeOptions* options) const {
+  const auto wait = ParseWaitStrategy(wait_strategy);
+  if (!wait.ok()) {
+    std::fprintf(stderr, "%s\n", wait.status().ToString().c_str());
+    std::exit(2);
+  }
+  FillRuntimeSizes(engine_threads, queue_capacity, batch_size, options);
   options->wait_strategy = wait.value();
   options->pin_threads = pin_threads;
-  return true;
 }
 
 SweepCellRunner MakeDspeCellRunner(DspeCellOptions options) {

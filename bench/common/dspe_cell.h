@@ -33,6 +33,14 @@ enum class DspeEngine {
 /// Parses "sim" / "threaded" (case-insensitive).
 Result<DspeEngine> ParseDspeEngine(const std::string& text);
 
+/// Checks the threaded engine's sizing flags and copies them into
+/// `options`: --engine-threads in [0, 2^32), --queue-capacity in [2, 2^20]
+/// and --batch-size in [1, 2^32). On a value out of range, prints the
+/// problem to stderr and exits 2 (an unchecked cast would turn
+/// --queue-capacity -1 into 2^32 - 1 tuples per lane).
+void FillRuntimeSizes(int64_t engine_threads, int64_t queue_capacity,
+                      int64_t batch_size, TopologyRuntimeOptions* options);
+
 /// The threaded engine's knobs as bench flags: --engine-threads,
 /// --queue-capacity, --batch-size, --wait-strategy (adaptive or spin) and
 /// --pin-threads.
@@ -43,9 +51,10 @@ struct RuntimeFlags {
   /// Binds the flags to the fields below, which hold the parsed values once
   /// `flags` has parsed.
   void Register(FlagSet* flags);
-  /// Copies the parsed values into `options`. On an unknown wait strategy,
-  /// prints the error to stderr and returns false.
-  bool Fill(TopologyRuntimeOptions* options) const;
+  /// Copies the parsed values into `options`. On an unknown wait strategy
+  /// or a size out of range (FillRuntimeSizes), prints the error to stderr
+  /// and exits 2.
+  void Fill(TopologyRuntimeOptions* options) const;
 
   int64_t engine_threads;
   int64_t queue_capacity = 1024;

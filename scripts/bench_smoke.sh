@@ -58,31 +58,54 @@ if [ "$count" -eq 0 ]; then
   exit 2
 fi
 
-# Common-flag validation: an out-of-range --sources/--runs/--threads must be
-# rejected up front with exit 2, not cast into a huge sender count or
-# averaged into NaN rows.
+# Flag validation: an out-of-range value must be rejected up front with
+# exit 2, not cast into a huge count or averaged into NaN rows. Common flags
+# (--sources/--runs/--threads) on bench_fig10_imbalance_zipf; the threaded
+# engine's flags on both of their parsers, the shared RuntimeFlags
+# (bench_fig13_throughput) and bench_elastic_rescale's own; and
+# bench_runtime_hotpath's shape. An unchecked --queue-capacity -1 would
+# size every lane at 2^32 - 1 tuples, and --fanout -1 emit as many
+# children per tuple.
 flag_failures=0
-flag_bin="$BUILD_DIR/bench/bench_fig10_imbalance_zipf"
-if [ -x "$flag_bin" ]; then
+expect_exit2() {  # expect_exit2 <bench name> <flag and value, one word each>...
+  local name="$1"
+  shift
+  local rc=0
+  "$BUILD_DIR/bench/$name" --messages 1000 "$@" > /dev/null 2>&1 || rc=$?
+  if [ "$rc" -ne 2 ]; then
+    echo "FAIL  $name $*: exit $rc (want 2)" >&2
+    flag_failures=$((flag_failures + 1))
+  fi
+}
+for name in bench_fig10_imbalance_zipf bench_fig13_throughput \
+            bench_elastic_rescale bench_runtime_hotpath; do
+  if [ ! -x "$BUILD_DIR/bench/$name" ]; then
+    echo "FAIL  $name missing from the build;" \
+         "flag-validation guard cannot run" >&2
+    flag_failures=$((flag_failures + 1))
+  fi
+done
+if [ "$flag_failures" -eq 0 ]; then
   for bad_flag in "--sources 0" "--runs 0" "--threads -1"; do
     # shellcheck disable=SC2086  # split "--flag value" into two words
-    if "$flag_bin" --messages 1000 $bad_flag > /dev/null 2>&1; then
-      rc=0
-    else
-      rc=$?
-    fi
-    if [ "$rc" -ne 2 ]; then
-      echo "FAIL  bench_fig10_imbalance_zipf $bad_flag: exit $rc (want 2)" >&2
-      flag_failures=$((flag_failures + 1))
-    fi
+    expect_exit2 bench_fig10_imbalance_zipf $bad_flag
+  done
+  for name in bench_fig13_throughput bench_elastic_rescale; do
+    for bad_flag in "--engine-threads -1" "--queue-capacity -1" \
+                    "--queue-capacity 1" "--queue-capacity 1048577" \
+                    "--batch-size 0"; do
+      # shellcheck disable=SC2086
+      expect_exit2 "$name" --engine threaded $bad_flag
+    done
+  done
+  expect_exit2 bench_fig13_throughput --engine threaded --wait-strategy bogus
+  for bad_flag in "--fanout -1" "--fanout 1025" "--stage-workers 0"; do
+    # shellcheck disable=SC2086
+    expect_exit2 bench_runtime_hotpath $bad_flag
   done
   if [ "$flag_failures" -eq 0 ]; then
-    echo "OK    common-flag validation (bad --sources/--runs/--threads exit 2)"
+    echo "OK    flag validation (bad common and threaded-engine flags exit 2)"
   fi
-else
-  echo "FAIL  bench_fig10_imbalance_zipf missing from the build;" \
-       "flag-validation guard cannot run" >&2
-  flag_failures=1
 fi
 
 # The adversarial-headroom bench must cover the full calibrated scenario
@@ -323,12 +346,13 @@ fi
 
 # Live-rescale guard: bench_elastic_rescale must also work with
 # --engine threaded (worker set mutated on the running topology, key state
-# through real handoff rings). Beyond the sim-engine checks above, the
+# through real handoff frames). Beyond the sim-engine checks above, the
 # threaded run must MEASURE the protocol: scale-out cells need a strictly
 # positive migration-stall time (resume -> last state install) on top of
 # nonzero migrated keys, and every rescaling row needs a positive quiesce
-# time. Zeros there mean the live protocol silently did nothing — the rot
-# this guard exists to catch. The static rows must report the measured
+# time and at least one handoff frame sent. Zeros there mean the live
+# protocol silently did nothing — the rot this guard exists to catch. The
+# static rows must report the measured
 # final imbalance: all of them at final_I == 0 means the threaded cells
 # dropped the worker loads (a consistent-hash row is never balanced).
 THREADED_RESCALE_TSV="$OUT_DIR/bench_elastic_rescale.threaded.tsv"
@@ -355,18 +379,20 @@ if [ -x "$rescale_bin" ]; then
             if ($i == "quiesce_s") quiesce = i
             if ($i == "stall_s") stall = i
             if ($i == "final_I") imb = i
+            if ($i == "handoff_frames") frames = i
           }
           next
         }
         /^#/ || /^[[:space:]]*$/ { next }
         {
-          if (!keys || !sched || !quiesce || !stall || !imb) { print "missing-columns"; exit }
+          if (!keys || !sched || !quiesce || !stall || !imb || !frames) { print "missing-columns"; exit }
           if ($sched == "static") {
             statics++
             if ($imb + 0 != 0) imbalanced++
             next
           }
           if ($quiesce + 0 <= 0) print $1 "/" $sched "/" $3 ": quiesce_s=" $quiesce
+          if ($frames + 0 <= 0) print $1 "/" $sched "/" $3 ": handoff_frames=" $frames
           if ($sched ~ /^out/) {
             if ($keys + 0 <= 0) print $1 "/" $sched "/" $3 ": keys_migrated=" $keys
             if ($stall + 0 <= 0) print $1 "/" $sched "/" $3 ": stall_s=" $stall
@@ -381,8 +407,8 @@ if [ -x "$rescale_bin" ]; then
         threaded_rescale_failures=$((threaded_rescale_failures + 1))
       else
         echo "OK    bench_elastic_rescale --engine threaded" \
-             "(${tr_rows} rows, measured quiesce/stall all positive," \
-             "static final_I measured)"
+             "(${tr_rows} rows, measured quiesce/stall/handoff_frames all" \
+             "positive, static final_I measured)"
       fi
     fi
   fi

@@ -1,12 +1,14 @@
 // Live rescale for the threaded engine: the quiesce barrier, the worker-set
-// mutation and the key-state handoff mesh, behind the Elastic* hooks of
+// mutation and the key-state handoff mailboxes, behind the Elastic* hooks of
 // runtime_internal.h (docs/ARCHITECTURE.md "Live rescale").
 
 #include <algorithm>
 #include <deque>
 #include <exception>
+#include <mutex>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "slb/common/logging.h"
 #include "slb/dspe/runtime_internal.h"
@@ -17,12 +19,12 @@ namespace slb::runtime_internal {
 // Spout trigger sentinel: no rescale event pending for this spout.
 constexpr uint64_t kNoTrigger = ~0ULL;
 
-// Key-state handoff frames, on dedicated SPSC rings between workers of the
-// rescaled bolt. kStateFrame ships one key's state to its new owner;
-// kPullRequest asks the directory's owner to ship it (lazy scale-out pull).
+// Key-state handoff frames between workers of the rescaled bolt, pushed
+// into the receiver's mailbox. kStateFrame ships one key's state to its new
+// owner; kPullRequest asks the directory's owner to ship it (lazy scale-out
+// pull).
 constexpr uint32_t kStateFrame = 0;
 constexpr uint32_t kPullRequest = 1;
-constexpr uint32_t kHandoffRingCapacity = 128;
 
 struct HandoffFrame {
   uint64_t key = 0;
@@ -38,14 +40,16 @@ struct ElasticTask {
   uint64_t next_trigger = kNoTrigger;
   bool paused = false;
   SenderRoutingLog routing_log;
-  // Bolt: scale-in drain state and this task's handoff mesh endpoints.
+  // Bolt: scale-in drain state, and the mailbox every peer pushes its
+  // handoff frames into (appends under the lock keep each sender's frames in
+  // order); the owner swaps it into `handoff_batch` to process it.
   bool draining = false;
   bool retired = false;
   std::vector<uint64_t> drain_keys;
   size_t drain_cursor = 0;
-  std::vector<std::pair<TaskState*, SpscRing<HandoffFrame>*>> handoff_out;
-  std::vector<SpscRing<HandoffFrame>*> handoff_in;
-  std::vector<std::pair<TaskState*, HandoffFrame>> handoff_stash;
+  mutable std::mutex mailbox_mu;
+  std::vector<HandoffFrame> mailbox;  // guarded by mailbox_mu
+  std::vector<HandoffFrame> handoff_batch;
 };
 
 // Live-rescale coordination. Ownership discipline: fields below the barrier
@@ -62,7 +66,6 @@ struct ElasticState {
   uint64_t edge_hash_seed = 0;
   RescaleCostModel cost;
   BoltFactory bolt_factory;
-  uint64_t thread_seed_base = 0;
 
   struct PendingEvent {
     uint64_t at_message = 0;
@@ -70,9 +73,8 @@ struct ElasticState {
   };
   std::vector<PendingEvent> pending;
 
-  // Storage behind TaskState::elastic and the handoff mesh.
+  // Storage behind TaskState::elastic.
   std::deque<ElasticTask> task_state;
-  std::vector<std::unique_ptr<SpscRing<HandoffFrame>>> handoff_rings;
 
   // Mutator-owned topology view.
   size_t next_event = 0;
@@ -87,7 +89,6 @@ struct ElasticState {
   std::condition_variable barrier_cv;
   uint64_t barrier_gen = 0;      // guarded by barrier_mu
   uint32_t barrier_waiting = 0;  // guarded by barrier_mu
-  uint32_t active_threads = 0;   // guarded by barrier_mu
   std::atomic<uint32_t> spouts_quiesced{0};
   std::atomic<uint32_t> phase{0};
   std::atomic<bool> cancelled{false};
@@ -155,50 +156,16 @@ bool AllFlushed(const TaskState& task) {
   return true;
 }
 
-SpscRing<HandoffFrame>* FindHandoffRing(TaskState& from, const TaskState* to) {
-  for (auto& [dest, ring] : from.elastic->handoff_out) {
-    if (dest == to) return ring;
-  }
-  return nullptr;
-}
-
-// Sends one frame from `from` toward `to`, stashing on a full ring (the
-// stash preserves order and is retried each quantum — natural backpressure
-// for the drain pace). Counts the frame exactly once, at send time.
-void PushHandoff(Runtime& rt, ElasticState& els, TaskState& from,
-                 TaskState* to, const HandoffFrame& frame) {
+// Appends one frame to `to`'s mailbox and wakes its host. Counts the frame
+// exactly once, at send time.
+void PushHandoff(Runtime& rt, ElasticState& els, TaskState* to,
+                 const HandoffFrame& frame) {
   els.handoff_frames.fetch_add(1, std::memory_order_relaxed);
-  auto& stash = from.elastic->handoff_stash;
-  if (!stash.empty()) {
-    stash.emplace_back(to, frame);
-    return;
-  }
-  SpscRing<HandoffFrame>* ring = FindHandoffRing(from, to);
-  SLB_CHECK(ring != nullptr) << "no handoff ring for worker pair";
-  // The null test stays: gcc does not see SLB_CHECK's failure path as
-  // noreturn and warns (-Wstringop-overflow) on TryPush through a null ring.
-  if (ring == nullptr || !ring->TryPush(frame)) {
-    stash.emplace_back(to, frame);
-    return;
+  {
+    std::lock_guard<std::mutex> lock(to->elastic->mailbox_mu);
+    to->elastic->mailbox.push_back(frame);
   }
   WakeHost(rt, to);
-}
-
-bool FlushHandoffStash(Runtime& rt, TaskState& task) {
-  bool moved = false;
-  auto& stash = task.elastic->handoff_stash;
-  for (size_t i = 0; i < stash.size();) {
-    SpscRing<HandoffFrame>* ring = FindHandoffRing(task, stash[i].first);
-    SLB_CHECK(ring != nullptr) << "no handoff ring for stashed frame";
-    if (ring != nullptr && ring->TryPush(stash[i].second)) {
-      WakeHost(rt, stash[i].first);
-      stash.erase(stash.begin() + i);  // stashes are tiny; O(n) is fine
-      moved = true;
-    } else {
-      ++i;
-    }
-  }
-  return moved;
 }
 
 // A state frame landed: retire its directory obligation. Erasing the entry
@@ -215,56 +182,56 @@ void ResolveInstalledKey(ElasticState& els, uint64_t key) {
   els.last_install_ns.store(NowNs(), std::memory_order_relaxed);
 }
 
-// Services this worker's side of the handoff mesh: retries the stash, then
-// drains incoming frames — installing state, or answering pull requests by
-// extracting the key and shipping it back.
+// Services this worker's mailbox: takes every queued frame in one swap,
+// then installs state, or answers a pull request by extracting the key and
+// shipping it back. The mailbox lock is not held while frames run (a state
+// frame takes dir_mu, which ElasticCheck holds while it pushes).
 bool ServiceHandoffs(Runtime& rt, ElasticState& els, TaskState& task) {
-  bool did_work = FlushHandoffStash(rt, task);
-  HandoffFrame frame;
-  for (SpscRing<HandoffFrame>* ring : task.elastic->handoff_in) {
-    while (ring->TryPop(&frame)) {
-      did_work = true;
-      if (frame.kind == kStateFrame) {
-        task.bolt->InstallKeyState(frame.key, frame.value);
-        ResolveInstalledKey(els, frame.key);
-      } else {
-        uint64_t value = 0;
-        task.bolt->ExtractKeyState(frame.key, &value);
-        PushHandoff(rt, els, task, els.workers[frame.from_worker],
-                    HandoffFrame{frame.key, value, kStateFrame, task.index});
-      }
+  ElasticTask& et = *task.elastic;
+  std::vector<HandoffFrame>& batch = et.handoff_batch;
+  {
+    std::lock_guard<std::mutex> lock(et.mailbox_mu);
+    batch.swap(et.mailbox);
+  }
+  for (const HandoffFrame& frame : batch) {
+    if (frame.kind == kStateFrame) {
+      task.bolt->InstallKeyState(frame.key, frame.value);
+      ResolveInstalledKey(els, frame.key);
+    } else {
+      uint64_t value = 0;
+      task.bolt->ExtractKeyState(frame.key, &value);
+      PushHandoff(rt, els, els.workers[frame.from_worker],
+                  HandoffFrame{frame.key, value, kStateFrame, task.index});
     }
   }
+  const bool did_work = !batch.empty();
+  batch.clear();
   return did_work;
 }
 
-// Quantum of a worker removed by scale-in: stream its sorted key state to
-// the survivors at batch pace, then retire. Its executor thread stays; once
-// every task it hosts has retired it idles like any other executor.
+// Quantum of a worker removed by scale-in: stream up to batch_size keys of
+// its sorted key state to the survivors, and retire once it is all sent.
+// Its executor thread stays; once every task it hosts has retired it idles
+// like any other executor. Always does work: it runs only while draining.
 bool DrainQuantum(Runtime& rt, ElasticState& els, TaskState& task) {
   ElasticTask& et = *task.elastic;
-  bool did_work = FlushHandoffStash(rt, task);
-  if (!et.handoff_stash.empty()) return did_work;
   const uint32_t n_live = static_cast<uint32_t>(els.workers.size());
-  uint32_t budget = rt.batch_size;
-  while (budget > 0 && et.drain_cursor < et.drain_keys.size()) {
-    const uint64_t key = et.drain_keys[et.drain_cursor++];
+  const size_t end =
+      std::min(et.drain_keys.size(), et.drain_cursor + rt.batch_size);
+  for (; et.drain_cursor < end; ++et.drain_cursor) {
+    const uint64_t key = et.drain_keys[et.drain_cursor];
     uint64_t value = 0;
     task.bolt->ExtractKeyState(key, &value);
     const uint32_t dest =
         HashToRange(SeededHash64(key, els.edge_hash_seed), n_live);
-    PushHandoff(rt, els, task, els.workers[dest],
+    PushHandoff(rt, els, els.workers[dest],
                 HandoffFrame{key, value, kStateFrame, task.index});
-    --budget;
-    did_work = true;
-    if (!et.handoff_stash.empty()) break;  // ring full: resume next quantum
   }
-  if (et.drain_cursor == et.drain_keys.size() && et.handoff_stash.empty()) {
+  if (et.drain_cursor == et.drain_keys.size()) {
     et.draining = false;
     et.retired = true;
-    did_work = true;
   }
-  return did_work;
+  return true;
 }
 
 void CloseStallWindow(ElasticState& els) {
@@ -300,19 +267,11 @@ void SettleHandoffs(Runtime& rt, ElasticState& els) {
   els.dir_active.store(0, std::memory_order_relaxed);
 }
 
-void EnsureHandoffRing(ElasticState& els, TaskState* from, TaskState* to) {
-  if (from == to || FindHandoffRing(*from, to) != nullptr) return;
-  els.handoff_rings.push_back(
-      std::make_unique<SpscRing<HandoffFrame>>(kHandoffRingCapacity));
-  SpscRing<HandoffFrame>* ring = els.handoff_rings.back().get();
-  from->elastic->handoff_out.emplace_back(to, ring);
-  to->elastic->handoff_in.push_back(ring);
-}
-
 // Scale-in: the top (old_n - new_n) workers leave the routing range and,
 // after resume, stream their sorted key state to HashToRange-chosen
 // survivors, then retire. The directory pins every affected key until its
-// state lands (tuples arriving earlier count as measured stalls).
+// state lands (tuples arriving earlier count as measured stalls); the entry
+// only counts frames, as DrainQuantum picks each key's destination.
 void ScaleIn(ElasticState& els, uint32_t new_n) {
   const uint32_t old_n = static_cast<uint32_t>(els.workers.size());
   std::lock_guard<std::mutex> dir_lock(els.dir_mu);
@@ -325,27 +284,25 @@ void ScaleIn(ElasticState& els, uint32_t new_n) {
     et.drain_cursor = 0;
     et.draining = true;
     for (uint64_t key : et.drain_keys) {
-      const uint32_t dest =
-          HashToRange(SeededHash64(key, els.edge_hash_seed), new_n);
       auto [it, inserted] =
-          els.directory.try_emplace(key, ElasticState::DirEntry{{dest}, 0});
+          els.directory.try_emplace(key, ElasticState::DirEntry{});
       if (inserted) {
         els.dir_active.fetch_add(1, std::memory_order_relaxed);
         els.inflight_keys.fetch_add(1, std::memory_order_relaxed);
       }
       ++it->second.frames_pending;
     }
-    for (uint32_t d = 0; d < new_n; ++d) {
-      EnsureHandoffRing(els, t, els.workers[d]);
-    }
   }
   els.workers.resize(new_n);
 }
 
-// Scale-out: builds the lazy owner directory over every live key, spawns
-// bolt tasks for worker indices [old_n, new_n) on ONE new executor thread,
-// adds a lane from every spout into it (re-pointing a retired worker's
-// reused index), and meshes all live pairs.
+// Scale-out: builds the lazy owner directory over every live key, and
+// creates bolt tasks for worker indices [old_n, new_n), each hosted by an
+// existing executor under the wiring's placement rule (task id modulo the
+// thread count). Every spout routes a new worker through its lane to that
+// host, added if missing (re-pointing a retired worker's reused index).
+// Appending to a host's tasks and inboxes is safe: every executor is parked
+// at the barrier.
 void ScaleOut(Runtime& rt, ElasticState& els, uint32_t new_n) {
   const uint32_t old_n = static_cast<uint32_t>(els.workers.size());
   {
@@ -362,11 +319,6 @@ void ScaleOut(Runtime& rt, ElasticState& els, uint32_t new_n) {
     }
   }
 
-  // Only the mutator grows `contexts`, so its size is read unlocked.
-  auto ctx = std::make_unique<ThreadCtx>(
-      els.thread_seed_base ^
-      (0x9e3779b97f4a7c15ULL * (rt.contexts.size() + 1)));
-  ctx->thread_index = static_cast<uint32_t>(rt.contexts.size());
   for (uint32_t w = old_n; w < new_n; ++w) {
     auto task = std::make_unique<TaskState>();
     task->task_id = static_cast<uint32_t>(rt.tasks.size());
@@ -377,34 +329,27 @@ void ScaleOut(Runtime& rt, ElasticState& els, uint32_t new_n) {
     task->bolt->Prepare(w, new_n);
     SLB_CHECK(task->bolt->SupportsStateHandoff());
     task->elastic = &els.task_state.emplace_back();
-    task->host = ctx.get();
+    task->host = rt.contexts[task->task_id % rt.contexts.size()].get();
+    task->host->tasks.push_back(task.get());
     els.workers.push_back(task.get());
-    ctx->tasks.push_back(task.get());
     rt.tasks.push_back(std::move(task));
   }
   for (TaskState* spout : els.spouts) {
     OutEdge& out = spout->out[0];
-    const uint32_t lane = AddLane(rt, out, *ctx);
     for (uint32_t w = old_n; w < new_n; ++w) {
+      TaskState* worker = els.workers[w];
+      const uint32_t lane = LaneTo(rt, out, *worker->host);
       if (w < out.dest_tasks.size()) {
         // A retired worker held this index; its lane was audited empty.
-        out.dest_tasks[w] = els.workers[w];
+        out.dest_tasks[w] = worker;
         out.lane_of[w] = lane;
       } else {
         SLB_CHECK(out.dest_tasks.size() == w);
-        out.dest_tasks.push_back(els.workers[w]);
+        out.dest_tasks.push_back(worker);
         out.lane_of.push_back(lane);
       }
     }
   }
-  // Lazy pulls flow between any live pair once the window opens.
-  for (TaskState* a : els.workers) {
-    for (TaskState* b : els.workers) EnsureHandoffRing(els, a, b);
-  }
-  ++els.active_threads;  // caller (the mutator) holds barrier_mu
-  std::lock_guard<std::mutex> lock(rt.spawn_mu);
-  rt.threads.emplace_back(ThreadMain, std::ref(rt), std::ref(*ctx));
-  rt.contexts.push_back(std::move(ctx));
 }
 
 // Runs with barrier_mu held and every other executor parked: settles the
@@ -488,10 +433,10 @@ void MutateAtBarrier(Runtime& rt, ElasticState& els) {
 // arrival mutates. wait_for keeps it live across Fail() from any thread.
 void ParkAtBarrier(Runtime& rt, ElasticState& els) {
   std::unique_lock<std::mutex> lock(els.barrier_mu);
-  // A stale observation (e.g. by a freshly spawned thread) finds phase 0.
-  if (els.phase.load(std::memory_order_acquire) != 1) return;
+  // Phase 1 holds until the last of the (fixed) executors has arrived, so
+  // every caller that observed it belongs to this generation.
   const uint64_t gen = els.barrier_gen;
-  if (++els.barrier_waiting == els.active_threads) {
+  if (++els.barrier_waiting == rt.contexts.size()) {
     try {
       MutateAtBarrier(rt, els);
     } catch (const std::exception& e) {
@@ -539,8 +484,6 @@ Status ElasticWire(Runtime& rt, const TopologyBuilder::Topology& topology,
       EdgeHashSeed(options.hash_seed, target.spout_component, 0);
   els.cost = rescale.schedule.cost;
   els.bolt_factory = topology.bolts[bolt_comp.decl_index].factory;
-  els.thread_seed_base = options.seed ^ 0x7f4a7c15ULL;
-  els.active_threads = static_cast<uint32_t>(rt.contexts.size());
   const double m = static_cast<double>(rescale.total_messages);
   for (const RescaleEvent& event : rescale.schedule.events) {
     els.pending.push_back(ElasticState::PendingEvent{
@@ -668,7 +611,7 @@ void ElasticCheck(Runtime& rt, TaskState& task, uint64_t key) {
   const uint32_t owner = entry.owners.front();
   entry.frames_pending = 1;
   els.inflight_keys.fetch_add(1, std::memory_order_relaxed);
-  PushHandoff(rt, els, task, els.workers[owner],
+  PushHandoff(rt, els, els.workers[owner],
               HandoffFrame{key, 0, kPullRequest, task.index});
 }
 
@@ -687,10 +630,9 @@ bool ElasticRunnable(Runtime& rt, const ThreadCtx& ctx) {
       }
       continue;
     }
-    if (et->draining || !et->handoff_stash.empty()) return true;
-    for (SpscRing<HandoffFrame>* ring : et->handoff_in) {
-      if (!ring->EmptyApprox()) return true;
-    }
+    if (et->draining) return true;
+    std::lock_guard<std::mutex> lock(et->mailbox_mu);
+    if (!et->mailbox.empty()) return true;
   }
   return false;
 }

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <exception>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "slb/common/logging.h"
 #include "slb/dspe/runtime_internal.h"
@@ -17,11 +19,13 @@ namespace runtime_internal {
 
 void Runtime::WakeAll() {
   if (!adaptive()) return;
-  std::lock_guard<std::mutex> lock(spawn_mu);
   for (auto& ctx : contexts) WakeGate(ctx->gate);
 }
 
-uint32_t AddLane(Runtime& rt, OutEdge& edge, ThreadCtx& host) {
+uint32_t LaneTo(Runtime& rt, OutEdge& edge, ThreadCtx& host) {
+  for (uint32_t lane = 0; lane < edge.lanes.size(); ++lane) {
+    if (edge.lanes[lane].host == &host) return lane;
+  }
   rt.rings.push_back(std::make_unique<SpscRing<RtTuple>>(rt.queue_capacity));
   SpscRing<RtTuple>* ring = rt.rings.back().get();
   host.inboxes.emplace_back(ring);
@@ -560,7 +564,8 @@ Result<TopologyStats> Run(const TopologyBuilder::Topology& topology,
     }
   }
 
-  // --- Executor threads: tasks assigned round-robin. -----------------------
+  // --- Executor threads: task t runs on context t % num_threads, the rule a
+  // scale-out worker follows too; the set is fixed from here on. ------------
   uint32_t num_threads = runtime_options.num_threads;
   if (num_threads == 0) {
     num_threads = std::thread::hardware_concurrency();
@@ -595,13 +600,7 @@ Result<TopologyStats> Run(const TopologyBuilder::Topology& topology,
         OutEdge out;
         for (uint32_t q = 0; q < to.parallelism; ++q) {
           TaskState* dest = rt.tasks[to.first_task + q].get();
-          uint32_t lane = 0;
-          while (lane < out.lanes.size() &&
-                 out.lanes[lane].host != dest->host) {
-            ++lane;
-          }
-          if (lane == out.lanes.size()) AddLane(rt, out, *dest->host);
-          out.lane_of.push_back(lane);
+          out.lane_of.push_back(LaneTo(rt, out, *dest->host));
           out.dest_tasks.push_back(dest);
         }
         rt.tasks[comp.first_task + p]->out.push_back(std::move(out));
@@ -618,28 +617,12 @@ Result<TopologyStats> Run(const TopologyBuilder::Topology& topology,
   }
 
   rt.start = std::chrono::steady_clock::now();
-  {
-    std::lock_guard<std::mutex> lock(rt.spawn_mu);
-    for (uint32_t t = 0; t < num_threads; ++t) {
-      rt.threads.emplace_back(ThreadMain, std::ref(rt),
-                              std::ref(*rt.contexts[t]));
-    }
+  std::vector<std::thread> threads;
+  threads.reserve(num_threads);
+  for (const auto& ctx : rt.contexts) {
+    threads.emplace_back(ThreadMain, std::ref(rt), std::ref(*ctx));
   }
-  // Join in arrival order; a scale-out barrier may append threads while we
-  // wait, so re-check the deque after every join (deque references stay
-  // valid across growth). When the joined prefix covers the whole deque no
-  // live thread remains, so no further spawn can happen.
-  size_t joined = 0;
-  while (true) {
-    std::thread* next = nullptr;
-    {
-      std::lock_guard<std::mutex> lock(rt.spawn_mu);
-      if (joined < rt.threads.size()) next = &rt.threads[joined];
-    }
-    if (next == nullptr) break;
-    next->join();
-    ++joined;
-  }
+  for (std::thread& thread : threads) thread.join();
 
   {
     std::lock_guard<std::mutex> lock(rt.error_mu);

@@ -24,7 +24,8 @@
 //
 // Live elastic rescale (TopologyRuntimeOptions::rescale): the runtime can
 // grow and shrink the bolt component of a spout->bolt topology while it
-// runs. Scale-out starts one executor thread for the added workers; a
+// runs. The executor threads are fixed when the run starts: scale-out hosts
+// each added worker on one of them (the wiring's round-robin rule), and a
 // scale-in worker drains its state and retires while its thread stays up.
 // Per-key bolt state follows the keys through real handoff frames, moving
 // exactly the keys RunPartitionSimulation's protocol moves (docs/

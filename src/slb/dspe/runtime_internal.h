@@ -9,10 +9,8 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -89,8 +87,8 @@ struct OutEdge {
 
 struct TaskState {
   // Executor thread hosting this task (tasks never migrate; set before the
-  // host starts, or at the rescale barrier for scale-out workers). Lanes are
-  // built per host, and credit returns and handoff frames wake it.
+  // threads start, or at the rescale barrier for scale-out workers). Lanes
+  // are built per host, and credit returns and handoff frames wake it.
   ThreadCtx* host = nullptr;
   uint32_t task_id = 0;
   uint32_t component = 0;
@@ -170,12 +168,9 @@ struct Runtime {
   // phase, schedule pause/cancel): pokes every executor's gate.
   void WakeAll();
 
-  // Executor threads and their contexts. A scale-out barrier appends while
-  // the main thread is join-looping, so both live behind spawn_mu and the
-  // thread container is a deque (stable references across growth).
-  std::mutex spawn_mu;
-  std::deque<std::thread> threads;                   // guarded by spawn_mu
-  std::vector<std::unique_ptr<ThreadCtx>> contexts;  // guarded by spawn_mu
+  // One context per executor thread, fixed before the threads start:
+  // scale-out hosts its new workers on these.
+  std::vector<std::unique_ptr<ThreadCtx>> contexts;
 
   std::mutex error_mu;
   Status first_error;  // guarded by error_mu
@@ -268,9 +263,9 @@ inline bool HasCredit(const Runtime& rt, const TaskState& task) {
          task.in_flight.load(std::memory_order_relaxed) < rt.max_pending;
 }
 
-// Adds a lane from `edge`'s producer to executor `host`: a new ring, and its
-// inbox on `host`. Returns the lane's index in edge.lanes.
-uint32_t AddLane(Runtime& rt, OutEdge& edge, ThreadCtx& host);
+// Index in edge.lanes of the lane from `edge`'s producer to executor `host`,
+// added (a new ring, and its inbox on `host`) if there is none yet.
+uint32_t LaneTo(Runtime& rt, OutEdge& edge, ThreadCtx& host);
 // Executor thread body: runs its tasks' quanta until the runtime stops.
 void ThreadMain(Runtime& rt, ThreadCtx& ctx);
 // An elastic spout's emission loop: up to `budget` roots, each first-edge

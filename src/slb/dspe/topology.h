@@ -198,7 +198,7 @@ struct ComponentStats {
 ///
 ///  * MEASURED — handoff_frames / measured_stalled_messages and the wall-
 ///    clock phase costs describe what the live protocol actually did:
-///    frames through the handoff rings, tuples that arrived before their
+///    handoff frames sent between workers, tuples that arrived before their
 ///    key's state, and how long quiesce / credit drain / post-resume
 ///    migration took.
 struct TopologyRescaleStats {
@@ -211,7 +211,7 @@ struct TopologyRescaleStats {
   double moved_key_fraction = 0.0;
   std::vector<uint64_t> migrated_keys;  // handoff-enqueue order
   // Measured (live protocol) accounting.
-  uint64_t handoff_frames = 0;            // state + pull frames on the rings
+  uint64_t handoff_frames = 0;            // state + pull frames sent
   uint64_t measured_stalled_messages = 0; // tuples processed before state
   double total_credit_drain_s = 0.0;  // spout pause -> in-flight trees acked
   double total_quiesce_s = 0.0;       // spout pause -> topology resumed

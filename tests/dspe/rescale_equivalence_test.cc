@@ -151,7 +151,7 @@ TEST_P(RescaleEquivalenceTest, ThreadedMigrationMatchesSimulator) {
     // "the live protocol moved what the model says moves".
     EXPECT_EQ(rs.migrated_keys, sim.migrated_keys);
 
-    // And the live half actually ran: state crossed the handoff rings and
+    // And the live half actually ran: state crossed the handoff mailboxes and
     // the measured phase costs were recorded.
     EXPECT_GT(rs.handoff_frames, 0u);
     EXPECT_GT(rs.total_quiesce_s, 0.0);

@@ -28,7 +28,10 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
+#include <set>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -381,6 +384,85 @@ TEST(RescaleStressTest, RejectsNonRescalableTopologies) {
                    ElasticTopology(keys, 2, 4, AlgorithmKind::kPkg), options,
                    no_total)
                    .ok());
+}
+
+// Scale-out places its new workers on the executors the run started with:
+// no thread is added mid-run. Each bolt records the thread executing it
+// whenever that changes, so a worker hosted by an extra thread shows up in
+// the set; a pinned run pins exactly the starting threads.
+TEST(ElasticRescale, ScaleOutKeepsTheExecutorSet) {
+  constexpr uint64_t kMessages = 20000;
+  constexpr uint64_t kNumKeys = 300;
+  auto keys = MakeZipfKeys(kMessages, kNumKeys, 17);
+  std::vector<uint64_t> expected_per_key(kNumKeys, 0);
+  for (uint64_t key : *keys) ++expected_per_key[key];
+
+  struct ThreadSet {
+    std::mutex mu;
+    std::set<std::thread::id> ids;  // guarded by mu
+  };
+  RescaleSchedule schedule;
+  schedule.events = {RescaleEvent{0.4, 16}};
+
+  for (uint32_t threads : {1u, 2u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    auto histogram = std::make_shared<KeyCounters>(kNumKeys);
+    auto seen = std::make_shared<ThreadSet>();
+    TopologyBuilder builder;
+    builder.AddSpout(
+        "sources",
+        [keys](uint32_t task) {
+          return std::make_unique<VectorSpout>(keys, task, 2);
+        },
+        2);
+    builder
+        .AddBolt("workers",
+                 [histogram, seen](uint32_t) {
+                   std::thread::id last;
+                   return std::make_unique<CountingBolt>(
+                       [histogram, seen, last](uint64_t key,
+                                               uint64_t) mutable {
+                         histogram->per_key[key].fetch_add(
+                             1, std::memory_order_relaxed);
+                         const std::thread::id self =
+                             std::this_thread::get_id();
+                         if (self == last) return;
+                         last = self;
+                         std::lock_guard<std::mutex> lock(seen->mu);
+                         seen->ids.insert(self);
+                       });
+                 },
+                 8)
+        .Input("sources", Grouping::Pkg());
+    TopologyOptions options;
+    options.max_pending_per_spout = 32;
+    options.seed = 17;
+    TopologyRuntimeOptions rt;
+    rt.num_threads = threads;
+    rt.pin_threads = true;
+    rt.rescale.schedule = schedule;
+    rt.rescale.total_messages = kMessages;
+
+    auto result = ExecuteTopologyThreaded(builder.Build(), options, rt);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    const TopologyStats& stats = result.value();
+    EXPECT_EQ(stats.roots_acked, kMessages);
+    EXPECT_EQ(stats.rescale.rescale_events, 1u);
+    EXPECT_EQ(stats.rescale.final_parallelism, 16u);
+    for (uint64_t key = 0; key < kNumKeys; ++key) {
+      ASSERT_EQ(histogram->per_key[key].load(std::memory_order_relaxed),
+                expected_per_key[key])
+          << "key " << key;
+    }
+    {
+      std::lock_guard<std::mutex> lock(seen->mu);
+      EXPECT_GE(seen->ids.size(), 1u);
+      EXPECT_LE(seen->ids.size(), threads);
+    }
+#if defined(__linux__)
+    EXPECT_EQ(stats.threads_pinned, threads);
+#endif
+  }
 }
 
 }  // namespace
