@@ -1,4 +1,5 @@
-// Cost-aware routing on heterogeneous work (ROADMAP item 2).
+// Cost-aware routing on heterogeneous work (see
+// docs/ARCHITECTURE.md "Heterogeneous cost layer").
 //
 // The paper prices every message at unit cost, so the load a partitioner
 // balances (message counts) and the load that matters (service time) are the
@@ -121,8 +122,8 @@ int Main(int argc, char** argv) {
 
   const std::vector<std::string> models = CostModelNames();
   PrintBanner("bench_cost_routing",
-              "no paper figure — heterogeneous-cost extension (ROADMAP "
-              "item 2)",
+              "no paper figure — heterogeneous-cost extension "
+              "(docs/ARCHITECTURE.md \"Heterogeneous cost layer\")",
               "n=" + std::to_string(workers) + ", |K|=1e4, m=" +
                   std::to_string(messages) + ", z=" + Sci(zipf) +
                   ", models: " + JoinStrings(models, "/") +

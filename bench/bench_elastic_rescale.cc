@@ -1,7 +1,8 @@
 // Elastic rescaling: imbalance AND migration cost across worker-set changes.
 //
-// The paper's evaluation holds the worker set fixed; ROADMAP item 1 asks
-// what each scheme costs when it changes. Two costs compete:
+// The paper's evaluation holds the worker set fixed; this bench asks what
+// each scheme costs when it changes (docs/ARCHITECTURE.md "Elastic rescale
+// protocol"). Two costs compete:
 //
 //  * IMBALANCE — how well the scheme balances load before, across, and after
 //    the event. The paper's head-aware schemes (D-C/W-C) win here.
@@ -172,7 +173,7 @@ int Main(int argc, char** argv) {
   const auto engine = ParseDspeEngine(engine_name);
   if (!engine.ok()) {
     std::fprintf(stderr, "%s\n", engine.status().ToString().c_str());
-    return 1;
+    return 2;
   }
   // The threaded engine saturates the host by itself; serialize the cells so
   // each one's wall-clock phase measurements stay clean.
@@ -189,7 +190,8 @@ int Main(int argc, char** argv) {
       AlgorithmKind::kConsistentHash};
 
   PrintBanner("bench_elastic_rescale",
-              "no paper figure — elastic-scaling extension (ROADMAP item 1)",
+              "no paper figure — elastic-scaling extension "
+              "(docs/ARCHITECTURE.md \"Elastic rescale protocol\")",
               "n=" + std::to_string(kBaseWorkers) + "±" +
                   std::to_string(kDelta) + ", |K|=1e4, m=" +
                   std::to_string(messages) + ", engine=" + engine_name +

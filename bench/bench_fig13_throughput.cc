@@ -38,7 +38,7 @@ int Main(int argc, char** argv) {
   const auto engine = ParseDspeEngine(engine_name);
   if (!engine.ok()) {
     std::fprintf(stderr, "%s\n", engine.status().ToString().c_str());
-    return 1;
+    return 2;
   }
   DspeCellOptions cell;
   cell.engine = engine.value();

@@ -1,5 +1,6 @@
 // Threaded-runtime hot-path bench — multi-stage (spout -> bolt -> bolt)
-// measured throughput (ROADMAP item 4; not a paper figure).
+// measured throughput (not a paper figure; see docs/ARCHITECTURE.md
+// "Queue topology").
 //
 // The fig13/fig14 threaded cells run the paper's single-layer DAG, so every
 // tuple tree has exactly one descendant per routed copy and the ack path is
@@ -96,7 +97,9 @@ int Main(int argc, char** argv) {
   const uint64_t messages = env.MessagesOr(100000, 1000000);
   const uint64_t num_keys = 10000;
 
-  PrintBanner("bench_runtime_hotpath", "ROADMAP item 4",
+  PrintBanner("bench_runtime_hotpath",
+              "no paper figure — threaded-runtime width probe "
+              "(docs/ARCHITECTURE.md \"Queue topology\")",
               "spout->fanout->sink, threads=" +
                   std::to_string(runtime_flags.engine_threads) +
                   ", fanout=" + std::to_string(fanout) + ", stage_workers=" +

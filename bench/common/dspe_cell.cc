@@ -121,7 +121,7 @@ Result<CellPayload> RunCell(const DspeCellOptions& options,
   }
   if (options.latency) {
     LatencySnapshot snapshot;
-    snapshot.count = static_cast<int64_t>(stats.roots_acked);
+    snapshot.count = static_cast<int64_t>(stats.latency_samples);
     snapshot.avg_ms = stats.latency_avg_ms;
     snapshot.p50_ms = stats.latency_p50_ms;
     snapshot.p95_ms = stats.latency_p95_ms;

@@ -99,6 +99,10 @@ if [ "$flag_failures" -eq 0 ]; then
     done
   done
   expect_exit2 bench_fig13_throughput --engine threaded --wait-strategy bogus
+  for name in bench_fig13_throughput bench_fig14_latency \
+              bench_elastic_rescale; do
+    expect_exit2 "$name" --engine bogus
+  done
   for bad_flag in "--fanout -1" "--fanout 1025" "--stage-workers 0"; do
     # shellcheck disable=SC2086
     expect_exit2 bench_runtime_hotpath $bad_flag
@@ -223,6 +227,53 @@ else
   echo "FAIL  bench_fig13_throughput missing from the build; threaded-engine" \
        "guard cannot run" >&2
   threaded_failures=1
+fi
+
+# Sampled-latency guard: the threaded engine times one root in eight, so
+# bench_fig14_latency --engine threaded must still report latency from a
+# non-empty sample in every row: lat_count > 0 and 0 < lat_p50_ms <=
+# lat_p99_ms. A sampling rule that times no root, or a sample that never
+# reaches the histogram, reads as zeros here.
+LATENCY_TSV="$OUT_DIR/bench_fig14_latency.threaded.tsv"
+latency_failures=0
+fig14_bin="$BUILD_DIR/bench/bench_fig14_latency"
+if [ -x "$fig14_bin" ]; then
+  if ! "$fig14_bin" --engine threaded --messages "$MESSAGES" --runs 1 \
+       > "$LATENCY_TSV" 2> "$OUT_DIR/bench_fig14_latency.threaded.err"; then
+    echo "FAIL  bench_fig14_latency --engine threaded: non-zero exit" >&2
+    sed 's/^/      /' "$OUT_DIR/bench_fig14_latency.threaded.err" >&2 || true
+    latency_failures=1
+  else
+    bad_latency="$(awk -F'\t' '
+      /^#scenario\t/ {
+        for (i = 1; i <= NF; i++) {
+          if ($i == "lat_count") n = i
+          if ($i == "lat_p50_ms") p50 = i
+          if ($i == "lat_p99_ms") p99 = i
+        }
+        next
+      }
+      /^#/ || /^[[:space:]]*$/ { next }
+      {
+        rows++
+        if (!n || !p50 || !p99) { print "missing-latency-columns"; exit }
+        if ($n + 0 <= 0 || $p50 + 0 <= 0 || $p50 + 0 > $p99 + 0)
+          print $1 "/" $3 ": lat_count=" $n " p50=" $p50 " p99=" $p99
+      }
+      END { if (rows == 0) print "empty result table" }' "$LATENCY_TSV")"
+    if [ -n "$bad_latency" ]; then
+      echo "FAIL  bench_fig14_latency --engine threaded: sampled latency" \
+           "missing or malformed in: $bad_latency" >&2
+      latency_failures=1
+    else
+      echo "OK    bench_fig14_latency --engine threaded" \
+           "(lat_count > 0, 0 < p50 <= p99 in every row)"
+    fi
+  fi
+else
+  echo "FAIL  bench_fig14_latency missing from the build; sampled-latency" \
+       "guard cannot run" >&2
+  latency_failures=1
 fi
 
 # Wide-stage guard: at one executor thread with 80 workers per stage, every
@@ -480,6 +531,9 @@ fi
 if [ "$cost_failures" -gt 0 ]; then
   echo "cost-routing guard FAILED ($cost_failures problems)" >&2
 fi
+if [ "$latency_failures" -gt 0 ]; then
+  echo "sampled-latency guard FAILED ($latency_failures problems)" >&2
+fi
 if [ "$wide_failures" -gt 0 ]; then
   echo "wide-stage hot-path guard FAILED ($wide_failures problems)" >&2
 fi
@@ -489,4 +543,4 @@ fi
 if [ "$micro_runtime_failures" -gt 0 ]; then
   echo "runtime micro-bench guard FAILED ($micro_runtime_failures problems)" >&2
 fi
-exit "$(((failures + flag_failures + headroom_failures + threaded_failures + rescale_failures + threaded_rescale_failures + cost_failures + wide_failures + e2e_failures + micro_runtime_failures) > 0 ? 1 : 0))"
+exit "$(((failures + flag_failures + headroom_failures + threaded_failures + rescale_failures + threaded_rescale_failures + cost_failures + latency_failures + wide_failures + e2e_failures + micro_runtime_failures) > 0 ? 1 : 0))"

@@ -1,4 +1,5 @@
-// Sender-local state behind PartitionerOptions::balance_on (ROADMAP item 2).
+// Sender-local state behind PartitionerOptions::balance_on (see
+// docs/ARCHITECTURE.md "Heterogeneous cost layer").
 //
 // Greedy min-choice partitioners keep an integer routed-message count per
 // worker. When a cost model is attached, the comparison signal becomes

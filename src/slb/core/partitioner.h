@@ -58,7 +58,8 @@ enum class SketchKind {
   kDecayingSpaceSaving,  // recency-weighted extension for drifting streams
 };
 
-/// Per-key service-cost oracle (ROADMAP item 2). Implementations must be
+/// Per-key service-cost oracle (see docs/ARCHITECTURE.md "Heterogeneous
+/// cost layer"). Implementations must be
 /// pure functions of (construction options, key): senders, the ground-truth
 /// tracker, and the mis-rank analysis evaluate costs independently — and
 /// concurrently — so two oracles built from the same options must agree
@@ -119,8 +120,9 @@ struct PartitionerOptions {
   /// Fixed d for kFixedDChoices / kGreedyD.
   uint32_t fixed_d = 2;
 
-  /// Which load estimate the greedy min-choice comparisons use (ROADMAP
-  /// item 2). kCost and kInFlight require `cost_model`; kInFlight also
+  /// Which load estimate the greedy min-choice comparisons use (see
+  /// docs/ARCHITECTURE.md "Heterogeneous cost layer"). kCost and kInFlight
+  /// require `cost_model`; kInFlight also
   /// requires service_rate > 0. CreatePartitioner rejects inconsistent
   /// combinations with InvalidArgument.
   BalanceSignal balance_on = BalanceSignal::kCount;
@@ -165,7 +167,7 @@ class StreamPartitioner {
   /// Messages this sender has routed.
   virtual uint64_t messages_routed() const = 0;
 
-  /// Elastic rescaling (ROADMAP item 1) --------------------------------------
+  /// Elastic rescaling (docs/ARCHITECTURE.md "Elastic rescale protocol") ---
 
   /// True when this partitioner can re-target to a different worker count
   /// mid-stream via Rescale().

@@ -4,6 +4,7 @@
 #include <exception>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "slb/common/logging.h"
@@ -136,7 +137,7 @@ bool FlushAcks(Runtime& rt, ThreadCtx& ctx) {
     if (root.pending.fetch_sub(ack.count, std::memory_order_acq_rel) ==
         ack.count) {
       if (completed == 0) now_s = rt.NowSeconds();
-      ctx.latency_ms.Add((now_s - emit_s) * 1e3);
+      if (emit_s != kUntimed) ctx.latency_ms.Add((now_s - emit_s) * 1e3);
       ++ctx.roots_acked;
       ++ctx.spout_acked[ack.spout_task];
       ++completed;
@@ -214,17 +215,18 @@ bool SpoutEmitLoop(Runtime& rt, ThreadCtx& ctx, TaskState& task,
       rt.active_spouts.fetch_sub(1, std::memory_order_release);
       break;
     }
+    const bool timed = LatencySampled(task.processed);
     ++task.processed;
     ++ctx.processed_delta;
     const uint32_t slot = ClaimRootSlot(task);
     RootSlot& root = task.slots[slot];
-    root.emit_time_s = rt.NowSeconds();
+    root.emit_time_s = timed ? rt.NowSeconds() : kUntimed;
     const uint32_t copies =
         RouteCopies<kElastic>(task, tuple, task.task_id, slot, log);
     if (copies == 0) {
       // Edgeless spout: the tree is just the root — acked on emission.
       const double now_s = rt.NowSeconds();
-      ctx.latency_ms.Add((now_s - root.emit_time_s) * 1e3);
+      if (timed) ctx.latency_ms.Add((now_s - root.emit_time_s) * 1e3);
       ctx.last_ack_s = std::max(ctx.last_ack_s, now_s);
       ++ctx.roots_acked;
     } else {
@@ -450,13 +452,14 @@ void ThreadMain(Runtime& rt, ThreadCtx& ctx) {
     // anything can decide the pass was idle (and before any barrier or
     // termination check can depend on the credit they return).
     did_work |= FlushAcks(rt, ctx);
+    // Only a tuple budget needs the shared count; the stats sum the
+    // per-task counts at join.
     if (ctx.processed_delta > 0) {
-      const uint64_t total = rt.total_processed.fetch_add(
-                                 ctx.processed_delta,
-                                 std::memory_order_relaxed) +
-                             ctx.processed_delta;
-      ctx.processed_delta = 0;
-      if (rt.max_tuples != 0 && total > rt.max_tuples) {
+      const uint64_t delta = std::exchange(ctx.processed_delta, 0);
+      if (rt.max_tuples != 0 &&
+          rt.total_processed.fetch_add(delta, std::memory_order_relaxed) +
+                  delta >
+              rt.max_tuples) {
         rt.Fail(Status::FailedPrecondition(
             "tuple budget exceeded; emission loop in topology?"));
         return;
@@ -643,10 +646,10 @@ Result<TopologyStats> Run(const TopologyBuilder::Topology& topology,
     stats.publishes += ctx->publishes;
   }
   stats.threads_pinned = rt.threads_pinned.load(std::memory_order_relaxed);
-  stats.tuples_processed = rt.total_processed.load(std::memory_order_relaxed);
   stats.makespan_s = last_ack_s;
   stats.throughput_per_s =
       last_ack_s > 0 ? static_cast<double>(stats.roots_acked) / last_ack_s : 0.0;
+  stats.latency_samples = static_cast<uint64_t>(latency_ms.count());
   stats.latency_avg_ms = latency_ms.mean();
   stats.latency_p50_ms = latency_ms.p50();
   stats.latency_p95_ms = latency_ms.p95();
@@ -663,6 +666,7 @@ Result<TopologyStats> Run(const TopologyBuilder::Topology& topology,
     for (const auto& task : rt.tasks) {
       if (task->component == c) cs.tuples_processed += task->processed;
     }
+    stats.tuples_processed += cs.tuples_processed;
     uint64_t total = 0;
     for (const TaskState* task : workers) total += task->processed;
     cs.task_loads.resize(workers.size(), 0.0);

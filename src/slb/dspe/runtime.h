@@ -20,7 +20,12 @@
 // imbalance — are byte-identical to ExecuteTopology's, independent of thread
 // count and interleaving (locked down by tests/dspe/runtime_test.cc). Timing
 // fields (makespan, throughput, latency percentiles) are measured wall-clock
-// and naturally vary run to run.
+// and naturally vary run to run. Latency is measured over a sample of one
+// root in eight, picked by a fixed hash of each spout's emission index (as
+// Storm samples complete latency); latency_avg_ms and latency_max_ms cover
+// the timed roots only, and TopologyStats::latency_samples counts them.
+// makespan and throughput stay exact: every completing ack flush reads the
+// clock.
 //
 // Live elastic rescale (TopologyRuntimeOptions::rescale): the runtime can
 // grow and shrink the bolt component of a spout->bolt topology while it

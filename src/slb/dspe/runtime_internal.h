@@ -53,8 +53,24 @@ struct RtTuple {
 // traffic from invalidating its neighbors' lines.
 struct alignas(kCacheLineBytes) RootSlot {
   std::atomic<uint32_t> pending{0};
-  double emit_time_s = 0.0;
+  double emit_time_s = 0.0;  // kUntimed unless the root is latency-sampled
 };
+
+// Latency sampling: a spout reads the clock for one root in
+// 2^kLatencySampleShift, so a root costs no clock read and its completion no
+// histogram update unless it is sampled. Storm's complete-latency sampling
+// (topology.stats.sample.rate) does the same. The pick is a fixed
+// multiplicative hash of the spout's emission index, not a stride: the
+// round-robin spout split and a hot key's min-load choice among its d
+// candidates are periodic, and a power-of-two stride can line up with them.
+// Index 0 hashes to 0, so every spout's first root is timed.
+inline constexpr uint32_t kLatencySampleShift = 3;  // one root in eight
+inline constexpr double kUntimed = -1.0;
+inline constexpr bool LatencySampled(uint64_t emission_index) {
+  return (emission_index * 0x9E3779B97F4A7C15ULL) >>
+             (64 - kLatencySampleShift) ==
+         0;
+}
 
 class ReusableCollector final : public OutputCollector {
  public:
@@ -155,7 +171,7 @@ struct Runtime {
   std::chrono::steady_clock::time_point start;
   std::atomic<uint32_t> active_spouts{0};
   std::atomic<uint64_t> active_roots{0};
-  std::atomic<uint64_t> total_processed{0};
+  std::atomic<uint64_t> total_processed{0};  // only when max_tuples != 0
   std::atomic<bool> stop{false};
   std::atomic<uint32_t> threads_pinned{0};
 
@@ -220,7 +236,7 @@ struct ThreadCtx {
   Histogram latency_ms;
   uint64_t roots_acked = 0;
   double last_ack_s = 0.0;
-  uint64_t processed_delta = 0;
+  uint64_t processed_delta = 0;  // tuples this pass, for the tuple budget
   uint32_t thread_index = 0;  // spawn order; drives round-robin CPU pinning
   // Coalesced acking: reference drops accumulated during the pass, flushed
   // by FlushAcks before the pass's idle/park decision. Consecutive drops on

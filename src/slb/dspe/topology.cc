@@ -264,6 +264,7 @@ Result<TopologyStats> ExecuteTopology(const TopologyBuilder::Topology& topology,
   stats.makespan_s = last_ack_s;
   stats.throughput_per_s =
       last_ack_s > 0 ? static_cast<double>(stats.roots_acked) / last_ack_s : 0.0;
+  stats.latency_samples = static_cast<uint64_t>(latency_ms.count());
   stats.latency_avg_ms = latency_ms.mean();
   stats.latency_p50_ms = latency_ms.p50();
   stats.latency_p95_ms = latency_ms.p95();

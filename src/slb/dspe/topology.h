@@ -223,7 +223,13 @@ struct TopologyStats {
   double throughput_per_s = 0.0;  // spout-root tuples acked per second
   uint64_t roots_acked = 0;
   uint64_t tuples_processed = 0;  // including bolt-emitted descendants
-  /// Root-tree completion latency (emission -> full tree acked), ms.
+  /// Root-tree completion latency (emission -> full tree acked), ms, over
+  /// the `latency_samples` timed roots. ExecuteTopology times every root;
+  /// the threaded engine times a fixed-hash sample of one root in eight per
+  /// spout (each spout's first root included), so there latency_avg_ms and
+  /// latency_max_ms cover the timed roots only and the percentiles are
+  /// taken over a uniform sample.
+  uint64_t latency_samples = 0;
   double latency_avg_ms = 0.0;
   double latency_p50_ms = 0.0;
   double latency_p95_ms = 0.0;

@@ -8,8 +8,9 @@
 // distinct (key, worker) assignments that determine memory overhead
 // (Sec. IV-B, Figs. 5-6).
 //
-// Heterogeneous cost layer (ROADMAP item 2): every Record carries a service
-// cost (1.0 by default), accumulated into per-worker cost totals so the
+// Heterogeneous cost layer (docs/ARCHITECTURE.md "Heterogeneous cost
+// layer"): every Record carries a service cost (1.0 by default),
+// accumulated into per-worker cost totals so the
 // SAME metric can be computed over true work — CostImbalance(). With
 // EnableCostTracking(rate) the tracker additionally keeps an outstanding-
 // work (in-flight) view under a deterministic completion model: each worker

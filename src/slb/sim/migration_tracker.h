@@ -1,4 +1,5 @@
-// Key-state migration accounting for elastic rescaling (ROADMAP item 1).
+// Key-state migration accounting for elastic rescaling (see
+// docs/ARCHITECTURE.md "Elastic rescale protocol").
 //
 // When the worker set changes mid-stream, per-key state (counters, windows,
 // whatever the operator keeps) must follow the keys to their new owners. The

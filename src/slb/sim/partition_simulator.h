@@ -22,7 +22,8 @@
 
 namespace slb {
 
-/// Heterogeneous service model (ROADMAP item 2). When a cost model is named,
+/// Heterogeneous service model (see docs/ARCHITECTURE.md "Heterogeneous
+/// cost layer"). When a cost model is named,
 /// every message is priced by it (the tracker's ground-truth accounting and
 /// the senders' cost-aware signals evaluate the same per-key oracle) and a
 /// deterministic completion model drains `rate` cost units per worker per
@@ -62,7 +63,8 @@ struct PartitionSimConfig {
   /// rank < |H|).
   uint64_t oracle_head_size = 0;
 
-  /// Elastic rescale schedule (ROADMAP item 1). When non-empty, every sender
+  /// Elastic rescale schedule (see docs/ARCHITECTURE.md "Elastic rescale
+  /// protocol"). When non-empty, every sender
   /// is rescaled in lockstep at each event's stream position (all senders
   /// share hash seeds, so their post-rescale candidate sets stay identical)
   /// and key-state migration costs are tracked. Events must have strictly

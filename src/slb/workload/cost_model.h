@@ -1,4 +1,5 @@
-// Heterogeneous per-key service-cost catalog (ROADMAP item 2).
+// Heterogeneous per-key service-cost catalog (see
+// docs/ARCHITECTURE.md "Heterogeneous cost layer").
 //
 // Every scenario in the workload catalog prices messages implicitly at unit
 // cost, so frequency and load coincide and the paper's imbalance metric

@@ -520,6 +520,30 @@ TEST(RuntimeTest, RoutingLogCaptureEnabledWithRescale) {
   EXPECT_EQ(result.value().rescale.final_parallelism, 9u);
 }
 
+// Latency is sampled: each spout times one root in eight, picked by a fixed
+// hash of its emission index that always includes its first root.
+TEST(RuntimeTest, TimesOneRootInEight) {
+  TopologyOptions options;
+  options.max_pending_per_spout = 16;
+  TopologyRuntimeOptions rt;
+  rt.num_threads = 3;
+  for (uint64_t per_spout : {5000u, 1u}) {
+    SCOPED_TRACE("roots per spout=" + std::to_string(per_spout));
+    auto result = ExecuteTopologyThreaded(PkgWordCount(per_spout), options, rt);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    const TopologyStats& stats = result.value();
+    ASSERT_EQ(stats.roots_acked, 4u * per_spout);
+    if (per_spout == 1) {
+      EXPECT_EQ(stats.latency_samples, stats.roots_acked);
+    } else {
+      EXPECT_GT(stats.latency_samples, stats.roots_acked / 12);
+      EXPECT_LT(stats.latency_samples, stats.roots_acked / 5);
+    }
+    EXPECT_GT(stats.latency_p50_ms, 0.0);
+    EXPECT_LE(stats.latency_p50_ms, stats.latency_p99_ms);
+  }
+}
+
 // The executor idle accounting must be well-formed under the default
 // adaptive strategy: park time is a subset of idle time, and a run with no
 // parks reports no park time.

@@ -1,4 +1,5 @@
-// Tests for the heterogeneous-cost payload (ROADMAP item 2): CostCounters
+// Tests for the heterogeneous-cost payload (see
+// docs/ARCHITECTURE.md "Heterogeneous cost layer"): CostCounters
 // rendering, thread-count byte-stability, agreement between the sweep
 // engine and a standalone RunPartitionSimulation, the unit-model control
 // identities, and the error Statuses for bad service configurations.

@@ -117,7 +117,7 @@ TEST(LoadTrackerTest, MemoryTrackingOffByDefault) {
 }
 
 // ---------------------------------------------------------------------------
-// Heterogeneous cost accounting (ROADMAP item 2)
+// Heterogeneous cost accounting (docs/ARCHITECTURE.md "Heterogeneous cost layer")
 // ---------------------------------------------------------------------------
 
 TEST(LoadTrackerCostTest, UnitCostsMakeCostImbalanceEqualCountImbalance) {
