@@ -33,34 +33,6 @@ void RunRoute(benchmark::State& state, AlgorithmKind kind) {
   state.SetItemsProcessed(state.iterations());
 }
 
-// Batched routing — the emit path a real DSPE drives: one virtual dispatch
-// per batch of 64 keys instead of per message (RouteBatch hot path).
-void RunRouteBatch(benchmark::State& state, AlgorithmKind kind) {
-  PartitionerOptions options;
-  options.num_workers = static_cast<uint32_t>(state.range(0));
-  options.hash_seed = 3;
-  auto partitioner = CreatePartitioner(kind, options);
-  if (!partitioner.ok()) {
-    state.SkipWithError("partitioner creation failed");
-    return;
-  }
-  ZipfDistribution zipf(1.4, 100000);
-  Rng rng(11);
-  std::vector<uint64_t> keys(1 << 16);
-  for (auto& k : keys) k = zipf.Sample(&rng);
-  constexpr size_t kBatch = 64;
-  uint32_t out[kBatch];
-  size_t i = 0;
-  for (auto _ : state) {
-    // i stays a multiple of kBatch, so the masked start + kBatch never
-    // overruns the 2^16-key buffer.
-    partitioner.value()->RouteBatch(&keys[i & 0xffff], kBatch, out);
-    benchmark::DoNotOptimize(out);
-    i += kBatch;
-  }
-  state.SetItemsProcessed(state.iterations() * kBatch);
-}
-
 void BM_RouteKG(benchmark::State& state) {
   RunRoute(state, AlgorithmKind::kKeyGrouping);
 }
@@ -79,15 +51,6 @@ void BM_RouteWC(benchmark::State& state) {
 void BM_RouteRR(benchmark::State& state) {
   RunRoute(state, AlgorithmKind::kRoundRobinHead);
 }
-void BM_RouteBatchPKG(benchmark::State& state) {
-  RunRouteBatch(state, AlgorithmKind::kPkg);
-}
-void BM_RouteBatchDC(benchmark::State& state) {
-  RunRouteBatch(state, AlgorithmKind::kDChoices);
-}
-void BM_RouteBatchWC(benchmark::State& state) {
-  RunRouteBatch(state, AlgorithmKind::kWChoices);
-}
 
 BENCHMARK(BM_RouteKG)->Arg(10)->Arg(100);
 BENCHMARK(BM_RouteSG)->Arg(10)->Arg(100);
@@ -95,9 +58,6 @@ BENCHMARK(BM_RoutePKG)->Arg(10)->Arg(80)->Arg(100);
 BENCHMARK(BM_RouteDC)->Arg(10)->Arg(80)->Arg(100);
 BENCHMARK(BM_RouteWC)->Arg(10)->Arg(80)->Arg(100);
 BENCHMARK(BM_RouteRR)->Arg(10)->Arg(100);
-BENCHMARK(BM_RouteBatchPKG)->Arg(10)->Arg(80)->Arg(100);
-BENCHMARK(BM_RouteBatchDC)->Arg(10)->Arg(80)->Arg(100);
-BENCHMARK(BM_RouteBatchWC)->Arg(10)->Arg(80)->Arg(100);
 
 }  // namespace
 }  // namespace slb

@@ -1,4 +1,4 @@
-// Micro-benchmarks isolating the threaded runtime's two hot-path overhauls
+// Micro-benchmarks of the threaded runtime's ack accounting and idle wait
 // (not a paper figure):
 //
 //   * BM_AckFanout{PerTuple,Coalesced} — the tuple-tree ack accounting, as
@@ -6,30 +6,25 @@
 //     at emit, three per ack) versus the coalesced protocol (one release
 //     store seeds the tree, acks buffered per executor and flushed once per
 //     scheduling quantum with adjacent-run merging). The arg is the tree
-//     fanout; the counter is acks/s.
+//     fanout; the counter is acks/s. These replicate the runtime's RootSlot
+//     layout and ordering (alignas(kCacheLineBytes), acq_rel on the closing
+//     decrement) rather than driving the engine.
 //
-//   * BM_IdleWake — round-trip latency of the adaptive wait ladder's park /
-//     wake edge (IdleGate in runtime.cc, replicated here structurally): the
-//     producer bumps the epoch, fences, and notifies; the parked consumer
-//     must observe the epoch and respond. This is the latency a parked
-//     executor adds to the first tuple after an idle period — the price
-//     kAdaptive pays over kSpin for not burning the core.
-//
-// Both benches replicate the runtime's structures rather than linking its
-// internals (RootSlot and IdleGate are runtime.cc-private by design); the
-// layout/ordering discipline — alignas(kCacheLineBytes), acq_rel on the
-// closing decrement, seq_cst fences around the park flag — is kept
-// identical so the numbers track the real thing.
+//   * BM_IdleWake — one park->wake round trip through the engine's own
+//     IdleGate, WakeGate and ParkOnGate (runtime_internal.h): a helper
+//     thread parks, the benchmark thread wakes it and spins until it
+//     answers. It runs ParkWakeProbe, the probe the engine's spin-budget
+//     calibration takes the median of, so this is the cost that sizes how
+//     long an idle executor spins before it parks.
 
 #include <benchmark/benchmark.h>
 
 #include <atomic>
-#include <condition_variable>
+#include <chrono>
 #include <cstdint>
-#include <mutex>
-#include <thread>
 #include <vector>
 
+#include "slb/dspe/runtime_internal.h"
 #include "slb/dspe/spsc_queue.h"
 
 namespace slb {
@@ -134,66 +129,17 @@ void BM_AckFanoutCoalesced(benchmark::State& state) {
 }
 BENCHMARK(BM_AckFanoutCoalesced)->Arg(1)->Arg(4);
 
-// Structural replica of runtime.cc's IdleGate and its WakeGate/ParkIdle
-// fence pairing.
-struct BenchIdleGate {
-  std::atomic<uint64_t> epoch{0};
-  std::atomic<uint32_t> parked{0};
-  std::mutex mu;
-  std::condition_variable cv;
-};
-
-// One park/wake round trip per iteration: the consumer parks until the
-// epoch moves, the producer (benchmark thread) bumps + notifies and waits
-// for the consumer's acknowledgment. Measures the full wake latency a
-// parked executor adds to the first tuple after idleness.
+// One park->wake round trip per iteration, timed around the wake alone:
+// the wait for the helper to fall asleep stays out of the measurement.
 void BM_IdleWake(benchmark::State& state) {
-  BenchIdleGate gate;
-  std::atomic<bool> stop{false};
-  std::atomic<uint64_t> acked{0};
-
-  std::thread consumer([&] {
-    uint64_t seen = 0;
-    while (!stop.load(std::memory_order_acquire)) {
-      gate.parked.fetch_add(1, std::memory_order_seq_cst);
-      std::atomic_thread_fence(std::memory_order_seq_cst);
-      {
-        std::unique_lock<std::mutex> lock(gate.mu);
-        gate.cv.wait_for(lock, std::chrono::milliseconds(1), [&] {
-          return gate.epoch.load(std::memory_order_relaxed) != seen ||
-                 stop.load(std::memory_order_acquire);
-        });
-      }
-      gate.parked.fetch_sub(1, std::memory_order_seq_cst);
-      seen = gate.epoch.load(std::memory_order_relaxed);
-      acked.store(seen, std::memory_order_release);
-    }
-  });
-
-  uint64_t epoch = 0;
+  runtime_internal::ParkWakeProbe probe;
   for (auto _ : state) {
-    ++epoch;
-    // WakeGate: bump, fence, notify only if someone is parked.
-    gate.epoch.store(epoch, std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    if (gate.parked.load(std::memory_order_relaxed) > 0) {
-      { std::lock_guard<std::mutex> lock(gate.mu); }
-      gate.cv.notify_all();
-    }
-    while (acked.load(std::memory_order_acquire) < epoch) {
-      std::this_thread::yield();
-    }
+    state.SetIterationTime(
+        std::chrono::duration<double>(probe.RoundTrip()).count());
   }
-
-  stop.store(true, std::memory_order_release);
-  {
-    std::lock_guard<std::mutex> lock(gate.mu);
-  }
-  gate.cv.notify_all();
-  consumer.join();
-  state.SetItemsProcessed(static_cast<int64_t>(epoch));
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
-BENCHMARK(BM_IdleWake)->UseRealTime();
+BENCHMARK(BM_IdleWake)->UseManualTime();
 
 }  // namespace
 }  // namespace slb

@@ -104,8 +104,7 @@ int Main(int argc, char** argv) {
                   std::to_string(runtime_flags.engine_threads) +
                   ", fanout=" + std::to_string(fanout) + ", stage_workers=" +
                   std::to_string(stage_workers) + ", m=" +
-                  std::to_string(messages) + ", wait=" +
-                  runtime_flags.wait_strategy +
+                  std::to_string(messages) +
                   (runtime_flags.pin_threads ? ", pinned" : ""));
   std::printf(
       "#scenario\tzipf\talgo\tthreads\tfanout\tthroughput_per_s\t"

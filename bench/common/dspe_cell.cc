@@ -135,9 +135,9 @@ Result<CellPayload> RunCell(const DspeCellOptions& options,
     // included.
     payload.sim.final_imbalance = workers.imbalance;
     payload.sim.worker_loads = workers.task_loads;
-    // Executor idle accounting (the kAdaptive wait ladder; all zero under
-    // kSpin). Always attached so the smoke guard can assert the columns
-    // exist and are non-negative on every threaded run.
+    // Executor idle accounting (idle spin plus park time, the parked
+    // subset, park episodes). Always attached so the smoke guard can assert
+    // the columns exist and are non-negative on every threaded run.
     payload.AddMetric("idle_s", stats.idle_s);
     payload.AddMetric("park_s", stats.park_s);
     payload.AddCount("parks", stats.parks);
@@ -166,15 +166,6 @@ Result<CellPayload> RunCell(const DspeCellOptions& options,
   return payload;
 }
 
-Result<WaitStrategy> ParseWaitStrategy(const std::string& text) {
-  std::string lower = text;
-  for (char& c : lower) c = static_cast<char>(std::tolower(c));
-  if (lower == "adaptive") return WaitStrategy::kAdaptive;
-  if (lower == "spin") return WaitStrategy::kSpin;
-  return Status::InvalidArgument("unknown wait strategy '" + text +
-                                 "' (expected adaptive or spin)");
-}
-
 }  // namespace
 
 Result<DspeEngine> ParseDspeEngine(const std::string& text) {
@@ -193,8 +184,6 @@ void RuntimeFlags::Register(FlagSet* flags) {
                   "threaded engine: per-lane ring capacity in tuples");
   flags->AddInt64("batch-size", &batch_size,
                   "threaded engine: emit batch / task quantum in tuples");
-  flags->AddString("wait-strategy", &wait_strategy,
-                   "threaded engine: idle executor policy (adaptive or spin)");
   flags->AddBool("pin-threads", &pin_threads,
                  "threaded engine: pin executors round-robin over CPUs");
 }
@@ -220,13 +209,7 @@ void FillRuntimeSizes(int64_t engine_threads, int64_t queue_capacity,
 }
 
 void RuntimeFlags::Fill(TopologyRuntimeOptions* options) const {
-  const auto wait = ParseWaitStrategy(wait_strategy);
-  if (!wait.ok()) {
-    std::fprintf(stderr, "%s\n", wait.status().ToString().c_str());
-    std::exit(2);
-  }
   FillRuntimeSizes(engine_threads, queue_capacity, batch_size, options);
-  options->wait_strategy = wait.value();
   options->pin_threads = pin_threads;
 }
 

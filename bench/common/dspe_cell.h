@@ -42,8 +42,7 @@ void FillRuntimeSizes(int64_t engine_threads, int64_t queue_capacity,
                       int64_t batch_size, TopologyRuntimeOptions* options);
 
 /// The threaded engine's knobs as bench flags: --engine-threads,
-/// --queue-capacity, --batch-size, --wait-strategy (adaptive or spin) and
-/// --pin-threads.
+/// --queue-capacity, --batch-size and --pin-threads.
 struct RuntimeFlags {
   explicit RuntimeFlags(int64_t default_threads)
       : engine_threads(default_threads) {}
@@ -51,15 +50,13 @@ struct RuntimeFlags {
   /// Binds the flags to the fields below, which hold the parsed values once
   /// `flags` has parsed.
   void Register(FlagSet* flags);
-  /// Copies the parsed values into `options`. On an unknown wait strategy
-  /// or a size out of range (FillRuntimeSizes), prints the error to stderr
-  /// and exits 2.
+  /// Copies the parsed values into `options`. On a size out of range
+  /// (FillRuntimeSizes), prints the error to stderr and exits 2.
   void Fill(TopologyRuntimeOptions* options) const;
 
   int64_t engine_threads;
   int64_t queue_capacity = 1024;
   int64_t batch_size = 64;
-  std::string wait_strategy = "adaptive";
   bool pin_threads = false;
 };
 

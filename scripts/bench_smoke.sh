@@ -98,7 +98,10 @@ if [ "$flag_failures" -eq 0 ]; then
       expect_exit2 "$name" --engine threaded $bad_flag
     done
   done
+  # --wait-strategy is gone (one idle wait, no modes): any value, the old
+  # "spin" included, is an unknown flag.
   expect_exit2 bench_fig13_throughput --engine threaded --wait-strategy bogus
+  expect_exit2 bench_fig13_throughput --engine threaded --wait-strategy spin
   for name in bench_fig13_throughput bench_fig14_latency \
               bench_elastic_rescale; do
     expect_exit2 "$name" --engine bogus

@@ -111,12 +111,6 @@ uint32_t GreedyD::Route(uint64_t key) {
   return best;
 }
 
-void GreedyD::RouteBatch(const uint64_t* keys, size_t count, uint32_t* out) {
-  // Route() is final on this type, so the loop body is a direct call the
-  // compiler can inline — one virtual dispatch per batch, not per message.
-  for (size_t i = 0; i < count; ++i) out[i] = GreedyD::Route(keys[i]);
-}
-
 PartialKeyGrouping::PartialKeyGrouping(const PartitionerOptions& options)
     : inner_(options, 2, "PKG") {}
 

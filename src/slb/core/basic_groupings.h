@@ -63,7 +63,6 @@ class GreedyD final : public StreamPartitioner {
   GreedyD(const PartitionerOptions& options, uint32_t d, std::string name);
 
   uint32_t Route(uint64_t key) override;
-  void RouteBatch(const uint64_t* keys, size_t count, uint32_t* out) override;
   uint32_t num_workers() const override { return family_.num_workers(); }
   std::string name() const override { return name_; }
   uint64_t messages_routed() const override { return messages_; }
@@ -92,9 +91,6 @@ class PartialKeyGrouping final : public StreamPartitioner {
   explicit PartialKeyGrouping(const PartitionerOptions& options);
 
   uint32_t Route(uint64_t key) override { return inner_.Route(key); }
-  void RouteBatch(const uint64_t* keys, size_t count, uint32_t* out) override {
-    inner_.RouteBatch(keys, count, out);
-  }
   uint32_t num_workers() const override { return inner_.num_workers(); }
   std::string name() const override { return "PKG"; }
   uint64_t messages_routed() const override { return inner_.messages_routed(); }

@@ -162,13 +162,6 @@ uint32_t HeadTailPartitioner::LeastLoadedOfChoices(uint64_t key, uint32_t d) {
   return best;
 }
 
-void HeadTailPartitioner::RouteBatch(const uint64_t* keys, size_t count,
-                                     uint32_t* out) {
-  // Route() is final on this class: the loop makes direct calls into the
-  // sketch + tail fast path, paying one virtual dispatch per batch.
-  for (size_t i = 0; i < count; ++i) out[i] = HeadTailPartitioner::Route(keys[i]);
-}
-
 uint32_t HeadTailPartitioner::LeastLoadedOverall() const {
   if (signal_.active()) {
     uint32_t best = 0;

@@ -25,7 +25,6 @@ class HeadTailPartitioner : public StreamPartitioner {
   explicit HeadTailPartitioner(const PartitionerOptions& options);
 
   uint32_t Route(uint64_t key) final;
-  void RouteBatch(const uint64_t* keys, size_t count, uint32_t* out) final;
 
   uint32_t num_workers() const final { return options_.num_workers; }
   uint64_t messages_routed() const final { return messages_; }

@@ -154,10 +154,10 @@ class StreamPartitioner {
   virtual uint32_t Route(uint64_t key) = 0;
 
   /// Routes `count` messages, writing destinations to `out[0..count)`.
-  /// Semantically identical to calling Route() per key in order; subclasses
-  /// override to amortize virtual dispatch over the batch (the emit path of
-  /// a real DSPE routes tuples in batches, not one call per message).
-  virtual void RouteBatch(const uint64_t* keys, size_t count, uint32_t* out) {
+  /// Exactly Route() per key in order, the path the threaded engine runs
+  /// (one virtual Route per tuple per edge); kept for callers that time or
+  /// check a batch of decisions at once.
+  void RouteBatch(const uint64_t* keys, size_t count, uint32_t* out) {
     for (size_t i = 0; i < count; ++i) out[i] = Route(keys[i]);
   }
 

@@ -158,14 +158,13 @@ bool AllFlushed(const TaskState& task) {
 
 // Appends one frame to `to`'s mailbox and wakes its host. Counts the frame
 // exactly once, at send time.
-void PushHandoff(Runtime& rt, ElasticState& els, TaskState* to,
-                 const HandoffFrame& frame) {
+void PushHandoff(ElasticState& els, TaskState* to, const HandoffFrame& frame) {
   els.handoff_frames.fetch_add(1, std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lock(to->elastic->mailbox_mu);
     to->elastic->mailbox.push_back(frame);
   }
-  WakeHost(rt, to);
+  WakeHost(to);
 }
 
 // A state frame landed: retire its directory obligation. Erasing the entry
@@ -186,7 +185,7 @@ void ResolveInstalledKey(ElasticState& els, uint64_t key) {
 // then installs state, or answers a pull request by extracting the key and
 // shipping it back. The mailbox lock is not held while frames run (a state
 // frame takes dir_mu, which ElasticCheck holds while it pushes).
-bool ServiceHandoffs(Runtime& rt, ElasticState& els, TaskState& task) {
+bool ServiceHandoffs(ElasticState& els, TaskState& task) {
   ElasticTask& et = *task.elastic;
   std::vector<HandoffFrame>& batch = et.handoff_batch;
   {
@@ -200,7 +199,7 @@ bool ServiceHandoffs(Runtime& rt, ElasticState& els, TaskState& task) {
     } else {
       uint64_t value = 0;
       task.bolt->ExtractKeyState(frame.key, &value);
-      PushHandoff(rt, els, els.workers[frame.from_worker],
+      PushHandoff(els, els.workers[frame.from_worker],
                   HandoffFrame{frame.key, value, kStateFrame, task.index});
     }
   }
@@ -224,7 +223,7 @@ bool DrainQuantum(Runtime& rt, ElasticState& els, TaskState& task) {
     task.bolt->ExtractKeyState(key, &value);
     const uint32_t dest =
         HashToRange(SeededHash64(key, els.edge_hash_seed), n_live);
-    PushHandoff(rt, els, els.workers[dest],
+    PushHandoff(els, els.workers[dest],
                 HandoffFrame{key, value, kStateFrame, task.index});
   }
   if (et.drain_cursor == et.drain_keys.size()) {
@@ -257,7 +256,7 @@ void SettleHandoffs(Runtime& rt, ElasticState& els) {
         continue;
       }
       moved |= t->elastic->draining ? DrainQuantum(rt, els, *t)
-                                    : ServiceHandoffs(rt, els, *t);
+                                    : ServiceHandoffs(els, *t);
     }
   }
   SLB_CHECK(els.inflight_keys.load(std::memory_order_relaxed) == 0)
@@ -577,7 +576,7 @@ bool ElasticBoltService(Runtime& rt, TaskState& task) {
   ElasticTask& et = *task.elastic;
   if (et.retired) return false;
   return et.draining ? DrainQuantum(rt, els, task)
-                     : ServiceHandoffs(rt, els, task);
+                     : ServiceHandoffs(els, task);
 }
 
 // Mirrors MigrationTracker::OnMessage: a key whose state is in flight counts
@@ -611,7 +610,7 @@ void ElasticCheck(Runtime& rt, TaskState& task, uint64_t key) {
   const uint32_t owner = entry.owners.front();
   entry.frames_pending = 1;
   els.inflight_keys.fetch_add(1, std::memory_order_relaxed);
-  PushHandoff(rt, els, els.workers[owner],
+  PushHandoff(els, els.workers[owner],
               HandoffFrame{key, 0, kPullRequest, task.index});
 }
 

@@ -19,7 +19,6 @@ namespace slb {
 namespace runtime_internal {
 
 void Runtime::WakeAll() {
-  if (!adaptive()) return;
   for (auto& ctx : contexts) WakeGate(ctx->gate);
 }
 
@@ -47,7 +46,7 @@ namespace {
 // parks. That lost edge is deliberately tolerated — ParkIdle's 1 ms timed
 // wait re-polls the rings, so the worst case is a bounded latency blip, not
 // a deadlock; closing it would cost a seq_cst fence on every flush.
-bool FlushTask(Runtime& rt, ThreadCtx& ctx, TaskState& task) {
+bool FlushTask(ThreadCtx& ctx, TaskState& task) {
   bool moved = false;
   bool backlog = false;
   for (OutEdge& edge : task.out) {
@@ -62,7 +61,7 @@ bool FlushTask(Runtime& rt, ThreadCtx& ctx, TaskState& task) {
       if (pushed > 0) {
         moved = true;
         ++ctx.publishes;
-        if (was_empty && rt.adaptive()) WakeGate(lane.host->gate);
+        if (was_empty) WakeGate(lane.host->gate);
       }
       if (lane.flushed == buf.size()) {
         buf.clear();
@@ -152,7 +151,7 @@ bool FlushAcks(Runtime& rt, ThreadCtx& ctx) {
                                      std::memory_order_relaxed);
     ctx.spout_acked[s] = 0;
     // Returned credit may unblock a spout parked on an exhausted window.
-    WakeHost(rt, rt.tasks[s].get());
+    WakeHost(rt.tasks[s].get());
   }
   rt.active_roots.fetch_sub(completed, std::memory_order_release);
   return true;
@@ -244,12 +243,12 @@ bool SpoutEmitLoop(Runtime& rt, ThreadCtx& ctx, TaskState& task,
 }
 
 bool SpoutQuantum(Runtime& rt, ThreadCtx& ctx, TaskState& task) {
-  bool did_work = FlushTask(rt, ctx, task);
+  bool did_work = FlushTask(ctx, task);
   if (task.blocked || task.exhausted) return did_work;
   did_work |= task.elastic == nullptr
                   ? SpoutEmitLoop<false>(rt, ctx, task, rt.batch_size, nullptr)
                   : ElasticSpoutQuantum(rt, ctx, task);
-  did_work |= FlushTask(rt, ctx, task);
+  did_work |= FlushTask(ctx, task);
   return did_work;
 }
 
@@ -295,8 +294,8 @@ bool InboxQuantum(Runtime& rt, ThreadCtx& ctx, Inbox& inbox) {
   return did_work;
 }
 
-// One cpu-relax hint (the "pause" rung of the idle ladder): tells the core
-// we're in a spin-wait without giving up the timeslice.
+// One cpu-relax hint (the idle spin's pause): tells the core we're in a
+// spin-wait without giving up the timeslice.
 inline void CpuRelax() {
 #if defined(__x86_64__) || defined(__i386__)
   __builtin_ia32_pause();
@@ -308,7 +307,7 @@ inline void CpuRelax() {
 }
 
 // CPUs this process may run on (affinity-mask aware on Linux); falls back to
-// hardware_concurrency elsewhere. Used to size the idle ladder's spin rung.
+// hardware_concurrency elsewhere. One CPU means no idle spin at all.
 uint32_t AvailableCpuCount() {
 #if defined(__linux__)
   cpu_set_t available;
@@ -364,7 +363,7 @@ bool MaybeRunnable(Runtime& rt, ThreadCtx& ctx) {
     }
     // A blocked task must keep retrying its flush: consumers do not signal
     // "space freed" edges, only "tuples published" ones, so a backpressured
-    // producer stays in the spin/yield rungs until the ring drains (the
+    // producer keeps polling instead of parking until the ring drains (the
     // consumer is by definition runnable while its ring holds tuples, so
     // the stall is bounded by downstream progress).
     if (task->blocked) return true;
@@ -375,29 +374,17 @@ bool MaybeRunnable(Runtime& rt, ThreadCtx& ctx) {
   return false;
 }
 
-// The parked rung: announce in the gate, re-poll once (the Dekker pairing
-// with WakeGate), then sleep on the cv until the epoch moves. The 1 ms
-// timed wait is a safety net, not the wake path — any missed-wakeup bug
-// degrades to polling instead of deadlock (and the stress tests would still
-// catch it through the parks/idle accounting).
+// Parks this executor on its gate unless the final poll finds work; a park
+// counts in idle_s and park_s (the stress tests catch a missed wake through
+// this accounting, since the 1 ms net keeps such a run alive).
 void ParkIdle(Runtime& rt, ThreadCtx& ctx) {
-  IdleGate& gate = ctx.gate;
-  const uint64_t epoch = gate.epoch.load(std::memory_order_relaxed);
-  gate.parked.fetch_add(1, std::memory_order_seq_cst);
-  std::atomic_thread_fence(std::memory_order_seq_cst);
-  if (rt.stop.load(std::memory_order_acquire) || MaybeRunnable(rt, ctx)) {
-    gate.parked.fetch_sub(1, std::memory_order_relaxed);
+  const auto park_start = std::chrono::steady_clock::now();
+  if (!ParkOnGate(ctx.gate, rt.stop, [&] {
+        return rt.stop.load(std::memory_order_acquire) ||
+               MaybeRunnable(rt, ctx);
+      })) {
     return;
   }
-  const auto park_start = std::chrono::steady_clock::now();
-  {
-    std::unique_lock<std::mutex> lock(gate.mu);
-    gate.cv.wait_for(lock, std::chrono::milliseconds(1), [&] {
-      return gate.epoch.load(std::memory_order_relaxed) != epoch ||
-             rt.stop.load(std::memory_order_relaxed);
-    });
-  }
-  gate.parked.fetch_sub(1, std::memory_order_relaxed);
   const double parked_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     park_start)
@@ -407,6 +394,23 @@ void ParkIdle(Runtime& rt, ThreadCtx& ctx) {
   ++ctx.parks;
 }
 
+// How long an idle executor spins before parking: one park->wake round trip,
+// the median of a few dozen through the engine's own gate. Spinning that
+// long and then blocking costs at most twice what the best choice in
+// hindsight would (Karlin, Manasse, McGeoch and Owicki, SODA 1990). Capped
+// well under the park's 1 ms timeout.
+std::chrono::nanoseconds CalibratedSpinBudget() {
+  constexpr int kRounds = 41;
+  constexpr std::chrono::nanoseconds kCap = std::chrono::microseconds(100);
+  ParkWakeProbe probe;
+  std::vector<std::chrono::nanoseconds> trips;
+  for (int round = 0; round < kRounds; ++round) {
+    trips.push_back(probe.RoundTrip());
+  }
+  std::nth_element(trips.begin(), trips.begin() + kRounds / 2, trips.end());
+  return std::min(trips[kRounds / 2], kCap);
+}
+
 }  // namespace
 
 bool EmitLoggedRoots(Runtime& rt, ThreadCtx& ctx, TaskState& task,
@@ -414,12 +418,50 @@ bool EmitLoggedRoots(Runtime& rt, ThreadCtx& ctx, TaskState& task,
   return SpoutEmitLoop<true>(rt, ctx, task, budget, log);
 }
 
+ParkWakeProbe::ParkWakeProbe()
+    : parker_([this] {
+        uint64_t seen = 0;
+        while (!stop_.load(std::memory_order_acquire)) {
+          ParkOnGate(gate_, stop_, [&] {
+            return gate_.epoch.load(std::memory_order_relaxed) != seen ||
+                   stop_.load(std::memory_order_relaxed);
+          });
+          seen = gate_.epoch.load(std::memory_order_relaxed);
+          answered_.store(seen, std::memory_order_release);
+        }
+      }) {}
+
+ParkWakeProbe::~ParkWakeProbe() {
+  stop_.store(true, std::memory_order_release);
+  WakeGate(gate_);
+  parker_.join();
+}
+
+std::chrono::nanoseconds ParkWakeProbe::RoundTrip() {
+  // Wake only a helper that has announced its park and had time to fall
+  // asleep on the cv, so that every round trip is a real park -> wake.
+  while (gate_.parked.load(std::memory_order_acquire) == 0) {
+    std::this_thread::yield();
+  }
+  const auto settled =
+      std::chrono::steady_clock::now() + std::chrono::microseconds(20);
+  while (std::chrono::steady_clock::now() < settled) CpuRelax();
+  const auto start = std::chrono::steady_clock::now();
+  WakeGate(gate_);
+  ++sent_;
+  while (answered_.load(std::memory_order_acquire) < sent_) CpuRelax();
+  return std::chrono::steady_clock::now() - start;
+}
+
 void ThreadMain(Runtime& rt, ThreadCtx& ctx) {
+  constexpr uint64_t kPassesPerClockRead = 8;
   if (rt.pin_threads && PinCurrentThreadToCpu(ctx.thread_index)) {
     rt.threads_pinned.fetch_add(1, std::memory_order_relaxed);
   }
-  const bool adaptive = rt.wait_strategy == WaitStrategy::kAdaptive;
-  uint32_t idle_streak = 0;
+  uint64_t idle_passes = 0;  // of the current idle streak
+  bool parking = false;      // the streak has spun its budget out
+  double spin_from_s = 0.0;  // clock at the streak's first idle pass
+  double polled_s = 0.0;     // the streak's latest clock read
   while (!rt.stop.load(std::memory_order_acquire)) {
     if (rt.elastic != nullptr && ElasticGate(rt)) continue;
     bool did_work = false;
@@ -438,7 +480,7 @@ void ThreadMain(Runtime& rt, ThreadCtx& ctx) {
       // whose output does not fit stays blocked until a later pass's flush.
       for (TaskState* task : ctx.tasks) {
         if (task->bolt != nullptr && !task->out.empty()) {
-          did_work |= FlushTask(rt, ctx, *task);
+          did_work |= FlushTask(ctx, *task);
         }
       }
     } catch (const std::exception& e) {
@@ -468,7 +510,8 @@ void ThreadMain(Runtime& rt, ThreadCtx& ctx) {
     if (did_work) {
       // Peers were woken in-line by the producer-side targeted wakes (ring
       // publishes, credit returns, handoff frames) — no broadcast here.
-      idle_streak = 0;
+      idle_passes = 0;
+      parking = false;
       continue;
     }
     if (rt.active_spouts.load(std::memory_order_acquire) == 0 &&
@@ -478,24 +521,23 @@ void ThreadMain(Runtime& rt, ThreadCtx& ctx) {
       rt.WakeAll();  // parked peers must observe the stop
       return;
     }
-    if (!adaptive) {
-      std::this_thread::yield();  // WaitStrategy::kSpin — legacy behavior
-      continue;
+    // Idle: spin until the streak has lasted the spin budget, then park; a
+    // park that ends without work parks again. Every idle pass re-polls all
+    // tasks first. The clock bounds the spin and counts it in idle_s, but a
+    // read costs about as much as a pass: reading it on every pass took ~10%
+    // off dc-light's throughput, so only the streak's first pass and every
+    // kPassesPerClockRead-th after it read it.
+    if (!parking && idle_passes++ % kPassesPerClockRead == 0) {
+      const double now_s = rt.NowSeconds();
+      if (idle_passes == 1) spin_from_s = polled_s = now_s;
+      ctx.idle_s += now_s - polled_s;
+      polled_s = now_s;
+      parking = now_s - spin_from_s >= rt.spin_budget_s;
     }
-    // Idle ladder: relax -> timed yield -> park. Each rung still re-polls
-    // every task at the top of the next pass.
-    ++idle_streak;
-    if (idle_streak <= rt.spin_iterations) {
-      CpuRelax();
-    } else if (idle_streak <= rt.spin_iterations + rt.yield_iterations) {
-      const auto yield_start = std::chrono::steady_clock::now();
-      std::this_thread::yield();
-      ctx.idle_s +=
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        yield_start)
-              .count();
-    } else {
+    if (parking) {
       ParkIdle(rt, ctx);
+    } else {
+      CpuRelax();
     }
   }
 }
@@ -524,16 +566,19 @@ Result<TopologyStats> Run(const TopologyBuilder::Topology& topology,
   rt.max_pending = options.max_pending_per_spout;
   rt.queue_capacity = runtime_options.queue_capacity;
   rt.max_tuples = options.max_tuples;
-  rt.wait_strategy = runtime_options.wait_strategy;
-  rt.spin_iterations = runtime_options.spin_iterations;
-  rt.yield_iterations = runtime_options.yield_iterations;
   rt.pin_threads = runtime_options.pin_threads;
-  if (AvailableCpuCount() <= 1) {
-    // Spinning waits for another core to produce; with a single available
-    // CPU nothing can be produced until this thread yields, so the spin
-    // rung only steals the producer's timeslice. Go straight to yielding.
-    rt.spin_iterations = 0;
+  std::chrono::nanoseconds spin_budget{0};
+  if (runtime_options.spin_budget.has_value()) {
+    spin_budget = *runtime_options.spin_budget;
+  } else if (AvailableCpuCount() > 1) {
+    // One park->wake round trip, measured once per process before any run's
+    // clock starts. With one usable CPU the budget stays 0: nothing can be
+    // produced until this thread gives the CPU up, so a spin only steals
+    // the producer's timeslice.
+    static const std::chrono::nanoseconds calibrated = CalibratedSpinBudget();
+    spin_budget = calibrated;
   }
+  rt.spin_budget_s = std::chrono::duration<double>(spin_budget).count();
 
   // --- Instantiate tasks and their sender-local partitioners. --------------
   rt.tasks.reserve(plan.num_tasks);

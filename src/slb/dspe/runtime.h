@@ -39,7 +39,9 @@
 
 #pragma once
 
+#include <chrono>
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "slb/common/status.h"
@@ -71,20 +73,6 @@ struct ThreadedRescaleSchedule {
   bool empty() const { return schedule.empty(); }
 };
 
-/// How an executor thread waits when a full pass over its tasks finds no
-/// runnable work.
-enum class WaitStrategy : uint8_t {
-  /// Unconditional sched-yield per idle pass — the legacy behavior. Wakes
-  /// within one scheduler slice but burns a hardware thread while idle.
-  kSpin,
-  /// Escalating ladder: cpu-relax spin -> timed yield -> park on a condition
-  /// variable until a producer signals new work (ring publish, credit
-  /// return, phase change, shutdown). Parked threads cost nothing; a 1 ms
-  /// timed wait bounds any missed-wakeup window. Idle/park time is surfaced
-  /// in TopologyStats (idle_s / park_s / parks).
-  kAdaptive,
-};
-
 struct TopologyRuntimeOptions {
   /// Executor threads (0 = hardware concurrency, capped at the task count).
   uint32_t num_threads = 0;
@@ -96,14 +84,14 @@ struct TopologyRuntimeOptions {
   /// from one inbound lane, per pass. Emitted tuples are buffered per lane
   /// and published in one push per lane.
   uint32_t batch_size = 64;
-  /// Idle executor policy (see WaitStrategy).
-  WaitStrategy wait_strategy = WaitStrategy::kAdaptive;
-  /// kAdaptive: consecutive idle passes spent cpu-relax spinning before the
-  /// ladder escalates to yielding. Each idle pass re-polls every hosted
-  /// task's rings, so this is "polls between relaxes", not raw pause count.
-  uint32_t spin_iterations = 32;
-  /// kAdaptive: consecutive idle passes spent yielding before parking.
-  uint32_t yield_iterations = 8;
+  /// Test seam for the idle wait. An executor whose pass finds no work
+  /// re-polls with a cpu-relax hint until the idle streak has lasted this
+  /// long, then parks until a producer signals new work (ring publish,
+  /// credit return, phase change, shutdown; a 1 ms timed wait bounds a
+  /// missed wake). Unset = one park->wake round trip of this host, measured
+  /// once per process (0 when the process may run on one CPU only). 0 parks
+  /// on the first idle pass; nanoseconds::max() never parks.
+  std::optional<std::chrono::nanoseconds> spin_budget;
   /// Pin executor threads round-robin over the CPUs in the process's
   /// affinity mask (Linux). Graceful no-op where unsupported; the count of
   /// successfully pinned threads lands in TopologyStats::threads_pinned.

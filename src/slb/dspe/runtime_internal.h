@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -132,14 +133,14 @@ struct TaskState {
   ElasticTask* elastic = nullptr;
 };
 
-// Wakeup gate of ONE parked executor (WaitStrategy::kAdaptive) — per-thread
-// so producers wake exactly the host of the consumer they published to,
-// never the whole fleet. `epoch` ticks on every signal; the parker snapshots
-// it before announcing itself in `parked`, so the cv predicate catches any
-// signal racing the park. The signaller's seq_cst fence pairs with the
-// parker's (Dekker-style): either the signaller sees `parked` > 0 and
-// notifies, or the parker's final work poll sees whatever the signaller
-// published before signalling.
+// Wakeup gate of ONE parked executor — per-thread so producers wake exactly
+// the host of the consumer they published to, never the whole fleet.
+// `epoch` ticks on every signal; the parker snapshots it before announcing
+// itself in `parked`, so the cv predicate catches any signal racing the
+// park. The signaller's seq_cst fence pairs with the parker's
+// (Dekker-style): either the signaller sees `parked` > 0 and notifies, or
+// the parker's final work poll sees whatever the signaller published before
+// signalling.
 struct IdleGate {
   std::atomic<uint64_t> epoch{0};
   std::atomic<uint32_t> parked{0};
@@ -163,9 +164,7 @@ struct Runtime {
   uint32_t queue_capacity = 1024;
   uint64_t max_tuples = 0;
   uint32_t num_spout_tasks = 0;  // spout task ids are [0, num_spout_tasks)
-  WaitStrategy wait_strategy = WaitStrategy::kAdaptive;
-  uint32_t spin_iterations = 32;
-  uint32_t yield_iterations = 8;
+  double spin_budget_s = 0.0;  // idle spin before parking (ThreadMain)
   bool pin_threads = false;
 
   std::chrono::steady_clock::time_point start;
@@ -177,8 +176,6 @@ struct Runtime {
 
   // Live-rescale protocol; null = static worker set.
   std::unique_ptr<ElasticState, ElasticStateDeleter> elastic;
-
-  bool adaptive() const { return wait_strategy == WaitStrategy::kAdaptive; }
 
   // Broadcast wake for rare global transitions (stop, failure, quiesce
   // phase, schedule pause/cancel): pokes every executor's gate.
@@ -246,8 +243,8 @@ struct ThreadCtx {
   // This executor's park gate, signalled by producers publishing to one of
   // its tasks and by the global transitions in Runtime::WakeAll.
   IdleGate gate;
-  // Idle-ladder accounting (kAdaptive only): idle_s covers the yield + park
-  // stages, park_s the parked subset, parks the episode count.
+  // Idle accounting: idle_s covers idle spinning and parking, park_s the
+  // parked subset, parks the episode count.
   double idle_s = 0.0;
   double park_s = 0.0;
   uint64_t parks = 0;
@@ -267,10 +264,56 @@ inline void WakeGate(IdleGate& gate) {
   }
 }
 
+// The parking half of the gate protocol: announce in `parked`, re-poll
+// `ready` once (the Dekker pairing with WakeGate), then sleep on the cv until
+// the epoch moves or `stop` is set. The 1 ms timed wait is a safety net, not
+// the wake path — any missed-wakeup bug degrades to polling instead of
+// deadlock. Returns false, without sleeping, when `ready` held.
+template <typename Ready>
+bool ParkOnGate(IdleGate& gate, const std::atomic<bool>& stop, Ready&& ready) {
+  const uint64_t epoch = gate.epoch.load(std::memory_order_relaxed);
+  gate.parked.fetch_add(1, std::memory_order_seq_cst);
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+  if (ready()) {
+    gate.parked.fetch_sub(1, std::memory_order_relaxed);
+    return false;
+  }
+  {
+    std::unique_lock<std::mutex> lock(gate.mu);
+    gate.cv.wait_for(lock, std::chrono::milliseconds(1), [&] {
+      return gate.epoch.load(std::memory_order_relaxed) != epoch ||
+             stop.load(std::memory_order_relaxed);
+    });
+  }
+  gate.parked.fetch_sub(1, std::memory_order_relaxed);
+  return true;
+}
+
+// A helper thread parked on its own IdleGate that answers every wake. One
+// RoundTrip() — wait until the helper has parked, WakeGate it, spin until it
+// answers — is the cost an executor pays for parking instead of spinning,
+// and so the length of the idle spin (ThreadMain).
+class ParkWakeProbe {
+ public:
+  ParkWakeProbe();
+  ~ParkWakeProbe();
+  ParkWakeProbe(const ParkWakeProbe&) = delete;
+  ParkWakeProbe& operator=(const ParkWakeProbe&) = delete;
+
+  std::chrono::nanoseconds RoundTrip();
+
+ private:
+  IdleGate gate_;
+  std::atomic<bool> stop_{false};
+  std::atomic<uint64_t> answered_{0};
+  uint64_t sent_ = 0;
+  std::thread parker_;
+};
+
 // Targeted wake: pokes the executor hosting `task`. Cheap when that thread
 // is not parked — one fetch_add, one fence, one load on its gate.
-inline void WakeHost(Runtime& rt, TaskState* task) {
-  if (rt.adaptive() && task->host != nullptr) WakeGate(task->host->gate);
+inline void WakeHost(TaskState* task) {
+  if (task->host != nullptr) WakeGate(task->host->gate);
 }
 
 // A spout with tuples left to emit and credit left in its window.

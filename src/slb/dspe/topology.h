@@ -236,10 +236,9 @@ struct TopologyStats {
   double latency_p99_ms = 0.0;
   double latency_max_ms = 0.0;
   /// Threaded-engine executor accounting (all zero under ExecuteTopology).
-  /// idle_s is wall-clock the executors spent in the idle ladder (yield +
-  /// park stages); park_s is the subset spent parked on the idle gate's
-  /// condition variable; parks counts park episodes. Under
-  /// WaitStrategy::kSpin these stay zero (the legacy untimed yield loop).
+  /// idle_s is wall-clock the executors spent idle: spinning before a park
+  /// plus parked; park_s is the subset spent parked on the idle gate's
+  /// condition variable; parks counts park episodes.
   double idle_s = 0.0;
   double park_s = 0.0;
   uint64_t parks = 0;

@@ -22,6 +22,10 @@
 #include "slb/dspe/standard_bolts.h"
 #include "slb/dspe/topology.h"
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 namespace slb {
 namespace {
 
@@ -544,15 +548,14 @@ TEST(RuntimeTest, TimesOneRootInEight) {
   }
 }
 
-// The executor idle accounting must be well-formed under the default
-// adaptive strategy: park time is a subset of idle time, and a run with no
-// parks reports no park time.
+// The executor idle accounting must be well-formed under the default wait:
+// park time is a subset of idle time, and a run with no parks reports no
+// park time.
 TEST(RuntimeTest, IdleAccountingWellFormed) {
   TopologyOptions options;
   options.max_pending_per_spout = 16;
   TopologyRuntimeOptions rt;
   rt.num_threads = 4;
-  rt.wait_strategy = WaitStrategy::kAdaptive;
   auto result = ExecuteTopologyThreaded(PkgWordCount(5000), options, rt);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   const TopologyStats& stats = result.value();
@@ -561,6 +564,38 @@ TEST(RuntimeTest, IdleAccountingWellFormed) {
   if (stats.parks == 0) {
     EXPECT_EQ(stats.park_s, 0.0);
   }
+}
+
+// A process that may run on one CPU only gets no idle spin: a spinning
+// executor could only steal its producer's timeslice. Every idle second is
+// then parked time.
+TEST(RuntimeTest, SingleCpuParksWithoutSpinning) {
+#if defined(__linux__)
+  cpu_set_t saved;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+  int first_cpu = 0;
+  while (!CPU_ISSET(first_cpu, &saved)) ++first_cpu;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(first_cpu, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+
+  TopologyOptions options;
+  options.max_pending_per_spout = 16;
+  TopologyRuntimeOptions rt;
+  rt.num_threads = 3;
+  auto result = ExecuteTopologyThreaded(PkgWordCount(2000), options, rt);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const TopologyStats& stats = result.value();
+  EXPECT_EQ(stats.roots_acked, 4u * 2000u);
+  ASSERT_EQ(stats.components.size(), 2u);
+  EXPECT_EQ(stats.components[1].tuples_processed, 4u * 2000u);
+  EXPECT_EQ(stats.idle_s, stats.park_s);
+#else
+  GTEST_SKIP() << "thread affinity is Linux-only";
+#endif
 }
 
 // pin_threads is best-effort: on Linux every executor should pin (the count
